@@ -11,16 +11,18 @@ single defining element,
 
 localization as the cone of its augmentation, and then *observes* the
 result: rational ranks by rank-nullity over Q, and for each prime p in
-a window the invariant factors of the homology of the complex reduced
-mod p^t for t = 1..cap.  Reduction mod p^t kills every p-divisible
-summand, leaving a genuine integer complex, so the whole table comes
-out of one integral Smith-normal-form homology per prime through
-universal coefficients.
+a window an exact p-local fingerprint per degree.  Dropping the
+p-divisible summands leaves a genuine integer complex K_p whose
+reductions mod p^t agree with those of the model for every t, so one
+integral Smith-normal-form homology per prime fixes all the model shows
+at p.  The fingerprint of degree d is the free rank of H^d(K_p) (the
+growth count: summands of the reduction mod p^t that grow with t) and
+the multiset of p-torsion exponents of H^d(K_p).
 
 An engine answer (a formal object) is checked by predicting the same
-observables in closed form and demanding exact agreement.  A finite
-p-part shows up as a stabilizing table; a divisible part as length
-growing linearly in t whose stable corank exceeds the rational rank.
+fingerprints in closed form and demanding exact agreement.  Finite
+p-torsion of any depth is compared exponent by exponent; a divisible
+part shows up as a growth count that differs from the rational rank.
 """
 
 from __future__ import annotations
@@ -40,16 +42,9 @@ from .zmodules import (
     zeros,
 )
 
-DEFAULT_EXPONENT_CAP = 12
-MAX_EXPONENT_CAP = 48
-
 
 class OracleScopeError(ValueError):
     """The oracle only models finite prime sets and whole-spectrum levels."""
-
-
-class NotStabilizedError(ArithmeticError):
-    """Tables still moving at the maximal exponent cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -364,67 +359,37 @@ def formal_object_model(F: FormalObject) -> LocFreeComplex:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Per-degree rational ranks plus mod-p^t invariant tables.
+    """Per-degree rational ranks plus exact p-local fingerprints.
 
-    ``tables[p-index][degree-index][t-1]`` is the sorted tuple of
-    exponents f with a summand Z/p^f in the homology of the reduction
-    mod p^t.
+    ``fingerprints[p-index][degree-index]`` is ``(growth, exponents)``:
+    the growth count of the (p, degree) row and its p-torsion as sorted
+    ``((e, multiplicity), ...)`` pairs, one per summand Z/p^e.
     """
 
     lo: int
     hi: int
     primes: tuple
-    tcap: int
     ranks: tuple
-    tables: tuple
+    fingerprints: tuple
 
     def rank_at(self, d: int) -> int:
         return self.ranks[d - self.lo] if self.lo <= d <= self.hi else 0
 
-    def row(self, p: int, d: int):
+    def fingerprint(self, p: int, d: int) -> tuple:
         if not (self.lo <= d <= self.hi):
-            return tuple(() for _ in range(self.tcap))
-        return self.tables[self.primes.index(p)][d - self.lo]
-
-    def stabilized(self) -> bool:
-        """Below the growing top the tables must agree at the last two caps.
-
-        A torsion exponent sitting exactly at the cap boundary makes the
-        top count drop between t = cap - 1 and t = cap; that is the
-        signature this test catches, and doubling the cap resolves it.
-        Torsion deeper than the maximal cap is indistinguishable from
-        divisibility in these observables, by design.
-        """
-        if self.tcap < 2:
-            return False
-        for pi in range(len(self.primes)):
-            for row in self.tables[pi]:
-                top_prev = sum(1 for f in row[self.tcap - 2] if f == self.tcap - 1)
-                top_last = sum(1 for f in row[self.tcap - 1] if f == self.tcap)
-                rest_prev = tuple(f for f in row[self.tcap - 2] if f < self.tcap - 1)
-                rest_last = tuple(f for f in row[self.tcap - 1] if f < self.tcap)
-                if top_prev != top_last or rest_prev != rest_last:
-                    return False
-        return True
-
-    def growth_corank(self, p: int, d: int) -> int:
-        """Multiplicity of the linearly growing part of the (p, d) row."""
-        return sum(1 for f in self.row(p, d)[self.tcap - 1] if f == self.tcap)
-
-    def finite_part(self, p: int, d: int):
-        """The stable (non-growing) invariant exponents of the (p, d) row."""
-        return tuple(f for f in self.row(p, d)[self.tcap - 1] if f < self.tcap)
+            return (0, ())
+        return self.fingerprints[self.primes.index(p)][d - self.lo]
 
     def divisible_signals(self):
-        """(p, d) rows whose growth corank differs from the rational rank:
+        """(p, d) rows whose growth count differs from the rational rank:
         the signature of Pruefer or localized (non-finitely-generated)
         homology touching p in degrees d or d+1."""
-        out = []
-        for p in self.primes:
-            for d in range(self.lo, self.hi + 1):
-                if self.growth_corank(p, d) != self.rank_at(d):
-                    out.append((p, d))
-        return tuple(out)
+        return tuple(
+            (p, d)
+            for p, rows in zip(self.primes, self.fingerprints)
+            for d, (growth, _) in enumerate(rows, self.lo)
+            if growth != self.rank_at(d)
+        )
 
 
 def _mod_p_reduction(W: LocFreeComplex, p: int) -> FreeComplex:
@@ -451,113 +416,89 @@ def _integral_homology_mod(W: LocFreeComplex, p: int):
     return homology(_mod_p_reduction(W, p))
 
 
-def observables(W: LocFreeComplex, primes: tuple, tcap: int, lo=None, hi=None) -> OracleReport:
-    """Observe a complex: rational ranks and mod-p^t homology tables.
+def _p_exponents(torsion: tuple, p: int) -> tuple:
+    """The ((e, multiplicity), ...) pairs of the p-power summands."""
+    return tuple((e, m) for q, e, m in torsion if q == p)
 
-    The table for prime p comes from the integral homology of the
-    p-reduction through universal coefficients:
+
+def _window(W: LocFreeComplex) -> tuple:
+    return (W.min_degree - 1, W.max_degree + 1) if W.labels else (0, 0)
+
+
+def fingerprints(W: LocFreeComplex, primes, lo=None, hi=None) -> OracleReport:
+    """Observe a complex: rational ranks and p-local fingerprints.
+
+    The fingerprint at p comes from the integral homology of the
+    p-reduction K_p, which fixes the homology of every reduction of W
+    through universal coefficients:
 
         H^d(W (x) Z/p^t)  =  H^d(K_p)/p^t  (+)  H^{d+1}(K_p)[p^t].
 
     >>> W = tensor(LocFreeComplex.unit(), cech_model(ZSubset.finite([2])))
-    >>> r = observables(W, (2,), 4)
-    >>> r.row(2, 0)[3], r.rank_at(0), r.rank_at(1)
-    ((4,), 0, 0)
+    >>> r = fingerprints(W, (2,))
+    >>> r.fingerprint(2, 0), r.rank_at(0), r.rank_at(1)
+    ((1, ()), 0, 0)
 
-    (The divisible 2-torsion sitting in degree 1 shows up mod 2^t as its
-    t-torsion subgroup one row below, a single factor Z/2^t growing with
-    t against zero rational rank.)
+    (The divisible 2-torsion sitting in degree 1 shows up as a summand
+    of degree 0 that grows with t, against zero rational rank.)
     """
-    if lo is None:
-        lo = W.min_degree - 1 if W.labels else 0
-    if hi is None:
-        hi = W.max_degree + 1 if W.labels else 0
+    w_lo, w_hi = _window(W)
+    lo = w_lo if lo is None else lo
+    hi = w_hi if hi is None else hi
     primes = tuple(sorted(set(primes)))
-    ranks = []
-    for d in range(lo, hi + 1):
-        n = len(W.labels_at(d))
-        ranks.append(
-            n - rank_rational(W.diff_at(d)) - rank_rational(W.diff_at(d - 1))
-            if n
-            else 0
+    degrees = range(lo, hi + 1)
+    # rational rank of the differential leaving each degree of W
+    out_rank = {d: rank_rational(W.diff_at(d)) for d in W.degrees()}
+    ranks = tuple(
+        len(W.labels_at(d)) - out_rank.get(d, 0) - out_rank.get(d - 1, 0)
+        for d in degrees
+    )
+    zero = FgZModule.zero()
+    rows = []
+    for p in primes:
+        H = _integral_homology_mod(W, p)
+        rows.append(
+            tuple(
+                (M.rank, _p_exponents(M.torsion, p))
+                for M in (H.get(d, zero) for d in degrees)
+            )
         )
-    tables = []
-    for p in primes:
-        Hp = _integral_homology_mod(W, p)
-        rows = []
-        for d in range(lo, hi + 1):
-            here = Hp.get(d, FgZModule.zero())
-            above = Hp.get(d + 1, FgZModule.zero())
-            rows.append(
-                tuple(
-                    tuple(sorted(here.mod(p, t) + above.part(p, t)))
-                    for t in range(1, tcap + 1)
-                )
-            )
-        tables.append(tuple(rows))
-    return OracleReport(lo, hi, primes, tcap, tuple(ranks), tuple(tables))
+    return OracleReport(lo, hi, primes, ranks, tuple(rows))
 
 
-def predicted_observables(
-    F: FormalObject, primes: tuple, tcap: int, lo: int, hi: int
+_NO_ATOMS = ElementaryModule.zero()
+
+
+def predicted_fingerprints(
+    F: FormalObject, primes, lo: int, hi: int
 ) -> OracleReport:
-    """The observables a formal object must show if it is the truth.
+    """The fingerprints a formal object must show if it is the truth.
 
-    Mod p^t, a free or untouched-localized summand contributes Z/p^t, a
-    p-inverted localized summand nothing, torsion Z/p^e its reduction,
-    and a Pruefer summand nothing in its own degree but Z/p^t one degree
-    below (its p^t-torsion subgroup).
+    At p, a free or untouched-localized summand grows in its own degree,
+    a p-inverted localized summand vanishes, torsion Z/p^e keeps its
+    exponent, and a Pruefer summand at p grows one degree below (its
+    p^t-torsion subgroup).
     """
     primes = tuple(sorted(set(primes)))
+    graded = dict(F.graded)
+    comps = [graded.get(d, _NO_ATOMS) for d in range(lo, hi + 2)]
 
-    def mod_exponents(E: ElementaryModule, p: int, t: int):
-        out = [t] * E.free_rank
-        for s, r in E.localized:
-            if not s.contains(p):
-                out.extend([t] * r)
-        for q, e, m in E.torsion:
-            if q == p:
-                out.extend([min(e, t)] * m)
-        return out
+    def growth(here: ElementaryModule, above: ElementaryModule, p: int) -> int:
+        return (
+            here.free_rank
+            + sum(r for s, r in here.localized if not s.contains(p))
+            + sum(m for s, m in above.prufer if s.contains(p))
+        )
 
-    def part_exponents(E: ElementaryModule, p: int, t: int):
-        out = []
-        for q, e, m in E.torsion:
-            if q == p:
-                out.extend([min(e, t)] * m)
-        for s, m in E.prufer:
-            if s.contains(p):
-                out.extend([t] * m)
-        return out
-
-    ranks = tuple(F.component(d).rational_rank for d in range(lo, hi + 1))
-    tables = []
-    for p in primes:
-        rows = []
-        for d in range(lo, hi + 1):
-            here, above = F.component(d), F.component(d + 1)
-            rows.append(
-                tuple(
-                    tuple(sorted(mod_exponents(here, p, t) + part_exponents(above, p, t)))
-                    for t in range(1, tcap + 1)
-                )
-            )
-        tables.append(tuple(rows))
-    return OracleReport(lo, hi, primes, tcap, ranks, tuple(tables))
-
-
-def observables_stabilized(W: LocFreeComplex, primes: tuple, tcap: int = DEFAULT_EXPONENT_CAP):
-    """Observables with the cap doubled until the tables stabilize."""
-    cap = tcap
-    while True:
-        rep = observables(W, primes, cap)
-        if rep.stabilized():
-            return rep
-        if cap >= MAX_EXPONENT_CAP:
-            raise NotStabilizedError(
-                f"tables not stabilized at exponent cap {cap}"
-            )
-        cap = min(2 * cap, MAX_EXPONENT_CAP)
+    ranks = tuple(E.rational_rank for E in comps[:-1])
+    rows = tuple(
+        tuple(
+            (growth(here, above, p), _p_exponents(here.torsion, p))
+            for here, above in zip(comps, comps[1:])
+        )
+        for p in primes
+    )
+    return OracleReport(lo, hi, primes, ranks, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -566,27 +507,45 @@ def observables_stabilized(W: LocFreeComplex, primes: tuple, tcap: int = DEFAULT
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """``mismatches`` holds one ``(kind, prime, degree, got, want)`` entry
+    per differing row, sorted by (prime, degree).  ``kind`` is
+    ``"rational-rank"`` (prime 0, the generic point) or ``"fingerprint"``;
+    ``got`` is what the chain model shows, ``want`` what the claim
+    predicts."""
+
     ok: bool
     mismatches: tuple
 
     def __bool__(self):
         return self.ok
 
+    @staticmethod
+    def of(mismatches) -> "ValidationReport":
+        mism = tuple(sorted(mismatches, key=lambda m: m[1:3]))
+        return ValidationReport(not mism, mism)
 
-def check_object(F: FormalObject, W: LocFreeComplex, primes, tcap=DEFAULT_EXPONENT_CAP) -> ValidationReport:
-    """Exact observable agreement between a claimed object and a model."""
-    lo = min([W.min_degree - 1 if W.labels else 0] + [d - 1 for d in F.degrees()] or [0])
-    hi = max([W.max_degree + 1 if W.labels else 0] + [d + 1 for d in F.degrees()] or [0])
-    primes = tuple(sorted(set(primes)))
-    got = observables(W, primes, tcap, lo, hi)
-    want = predicted_observables(F, primes, tcap, lo, hi)
-    mism = []
-    if got.ranks != want.ranks:
-        mism.append(("rational-rank", got.ranks, want.ranks))
-    for pi, p in enumerate(primes):
-        if got.tables[pi] != want.tables[pi]:
-            mism.append(("mod-p-table", p, got.tables[pi], want.tables[pi]))
-    return ValidationReport(not mism, tuple(mism))
+
+def check_object(F: FormalObject, W: LocFreeComplex, primes) -> ValidationReport:
+    """Exact agreement of rational ranks and p-local fingerprints between
+    a claimed object and a chain model, row by row."""
+    w_lo, w_hi = _window(W)
+    lo = min([w_lo] + [d - 1 for d in F.degrees()])
+    hi = max([w_hi] + [d + 1 for d in F.degrees()])
+    got = fingerprints(W, primes, lo, hi)
+    want = predicted_fingerprints(F, primes, lo, hi)
+    degrees = range(lo, hi + 1)
+    mism = [
+        ("rational-rank", 0, d, g, w)
+        for d, g, w in zip(degrees, got.ranks, want.ranks)
+        if g != w
+    ]
+    for p, got_rows, want_rows in zip(got.primes, got.fingerprints, want.fingerprints):
+        mism.extend(
+            ("fingerprint", p, d, g, w)
+            for d, g, w in zip(degrees, got_rows, want_rows)
+            if g != w
+        )
+    return ValidationReport.of(mism)
 
 
 def _relevant_primes(*sources) -> tuple:
@@ -603,7 +562,7 @@ def _relevant_primes(*sources) -> tuple:
     return tuple(sorted(out)) or (2,)
 
 
-def validate_rgamma(Z: ZSubset, X: FreeComplex, primes=None, tcap=DEFAULT_EXPONENT_CAP) -> ValidationReport:
+def validate_rgamma(Z: ZSubset, X: FreeComplex, primes=None) -> ValidationReport:
     """Engine rgamma versus the honest stable-Koszul tensor.
 
     >>> validate_rgamma(ZSubset.finite([2]), FreeComplex.stalk_free(1, 0)).ok
@@ -612,14 +571,14 @@ def validate_rgamma(Z: ZSubset, X: FreeComplex, primes=None, tcap=DEFAULT_EXPONE
     F = rgamma(Z, from_free_complex(X))
     W = tensor(LocFreeComplex.from_free_complex(X), cech_model(Z))
     primes = primes or _relevant_primes(Z, F)
-    return check_object(F, W, primes, tcap)
+    return check_object(F, W, primes)
 
 
-def validate_rq(Z: ZSubset, X: FreeComplex, primes=None, tcap=DEFAULT_EXPONENT_CAP) -> ValidationReport:
+def validate_rq(Z: ZSubset, X: FreeComplex, primes=None) -> ValidationReport:
     F = rq(Z, from_free_complex(X))
     W = tensor(LocFreeComplex.from_free_complex(X), rq_model_complex(Z))
     primes = primes or _relevant_primes(Z, F)
-    return check_object(F, W, primes, tcap)
+    return check_object(F, W, primes)
 
 
 def _gamma_module(Z: ZSubset, E: ElementaryModule) -> ElementaryModule:
@@ -679,20 +638,27 @@ def tau_single_models(i: int, Z: ZSubset, F: FormalObject):
     return lower, upper
 
 
-def validate_tau_single(
-    i: int, Z: ZSubset, F: FormalObject, primes=None, tcap=DEFAULT_EXPONENT_CAP
-) -> ValidationReport:
-    """Engine one-level truncation versus the chain models, both vertices."""
-    res = tau_single(i, Z, F)
+
+
+def _check_tau_step(i: int, Z: ZSubset, F: FormalObject, res, primes) -> ValidationReport:
+    """Check a computed one-level truncation ``res`` of F against the
+    chain models, both vertices."""
     wl, wu = tau_single_models(i, Z, F)
     primes = primes or _relevant_primes(Z, F, res.lower, res.upper)
-    low = check_object(res.lower, wl, primes, tcap)
-    up = check_object(res.upper, wu, primes, tcap)
-    return ValidationReport(low.ok and up.ok, low.mismatches + up.mismatches)
+    low = check_object(res.lower, wl, primes)
+    up = check_object(res.upper, wu, primes)
+    return ValidationReport.of(low.mismatches + up.mismatches)
+
+
+def validate_tau_single(
+    i: int, Z: ZSubset, F: FormalObject, primes=None
+) -> ValidationReport:
+    """Engine one-level truncation versus the chain models, both vertices."""
+    return _check_tau_step(i, Z, F, tau_single(i, Z, F), primes)
 
 
 def validate_tau_filtration(
-    filtration: SpFiltration, F: FormalObject, primes=None, tcap=DEFAULT_EXPONENT_CAP
+    filtration: SpFiltration, F: FormalObject, primes=None
 ) -> ValidationReport:
     """Validate every one-level step of the composed truncation.
 
@@ -708,9 +674,8 @@ def validate_tau_filtration(
         ):
             W = tensor(formal_object_model(F), build(Z))
             pr = primes or _relevant_primes(Z, F, claim)
-            r = check_object(claim, W, pr, tcap)
-            mism.extend(r.mismatches)
-        return ValidationReport(not mism, tuple(mism))
+            mism.extend(check_object(claim, W, pr).mismatches)
+        return ValidationReport.of(mism)
     s, n = filtration.determined_interval()
     mism = []
     current = F
@@ -718,23 +683,17 @@ def validate_tau_filtration(
         Z = filtration.value(j)
         step = tau_single(j, Z, current)
         pr = primes or _relevant_primes(Z, F, filtration, step.lower, step.upper)
-        r = validate_tau_single(j, Z, current, pr, tcap)
-        mism.extend(r.mismatches)
+        mism.extend(_check_tau_step(j, Z, current, step, pr).mismatches)
         current = step.upper
-    return ValidationReport(not mism, tuple(mism))
+    return ValidationReport.of(mism)
 
 
-def cech_oracle(
-    levels,
-    X: FreeComplex,
-    primes=None,
-    tcap: int = DEFAULT_EXPONENT_CAP,
-) -> dict:
+def cech_oracle(levels, X: FreeComplex, primes=None) -> dict:
     """Observe the derived torsion of X at each level, chain-level.
 
     ``levels`` is an iterable of sp-subsets (each a finite prime set or
-    the whole spectrum); the result maps each level to the stabilized
-    observable report of the stable Koszul model tensored with X.
+    the whole spectrum); the result maps each level to the fingerprint
+    report of the stable Koszul model tensored with X.
 
     >>> rep = cech_oracle([ZSubset.finite([2])], FreeComplex.stalk_free(1, 0))
     >>> rep[ZSubset.finite([2])].divisible_signals()
@@ -743,18 +702,13 @@ def cech_oracle(
     out = {}
     for Z in levels:
         W = tensor(LocFreeComplex.from_free_complex(X), cech_model(Z))
-        pr = primes or _relevant_primes(Z, from_free_complex(X)) or (2,)
-        out[Z] = observables_stabilized(W, tuple(sorted(set(pr))), tcap)
+        out[Z] = fingerprints(W, primes or _relevant_primes(Z, from_free_complex(X)))
     return out
 
 
-def divisible_rank_detection(
-    F: FormalObject, primes=None, tcap=DEFAULT_EXPONENT_CAP
-):
+def divisible_rank_detection(F: FormalObject, primes=None):
     """Observe a model of F and report the (p, degree) rows where growth
-    corank and rational rank part ways: the chain-level signature of
+    count and rational rank part ways: the chain-level signature of
     non-finitely-generated homology."""
     W = formal_object_model(F)
-    primes = primes or _relevant_primes(F)
-    rep = observables_stabilized(W, tuple(sorted(set(primes))), tcap)
-    return rep.divisible_signals()
+    return fingerprints(W, primes or _relevant_primes(F)).divisible_signals()

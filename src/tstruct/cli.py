@@ -59,7 +59,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     window: tuple = (-4, 4)
     prime_window: tuple = (2, 3, 5)
-    exponent_cap: int = 12
     engine: str = "profile"
     suite: str = "all"
 
@@ -181,12 +180,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    config = RunConfig(
-        seed=args.seed,
-        window=_parse_window(args.window),
-        exponent_cap=args.exponent_cap,
-        engine=args.engine,
-    )
+    _parse_window(args.window)  # a malformed window is a usage error
     f = _load_filtration(args.filtration)
     X = _load_object(args.complex)
     res = tau_filtration(f, X)
@@ -200,7 +194,7 @@ def _cmd_truncate(args) -> int:
     if args.engine in ("cech", "both"):
         from . import cech
 
-        report = cech.validate_tau_filtration(f, X, tcap=config.exponent_cap)
+        report = cech.validate_tau_filtration(f, X)
         payload["oracle"] = {"ok": report.ok, "mismatches": len(report.mismatches)}
         if args.engine == "both":
             payload["enginesAgree"] = report.ok
@@ -309,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-x", "--complex", required=True)
     p.add_argument("--engine", choices=("profile", "cech", "both"), default="profile")
     p.add_argument("--window", default="-4..4")
-    p.add_argument("--exponent-cap", type=int, default=12)
     p.set_defaults(func=_cmd_truncate)
 
     p = add_parser("member", help="aisle / co-aisle membership")

@@ -134,9 +134,6 @@ class FormalObject:
         """Degrees <= i (the good-truncation homology slice)."""
         return FormalObject(tuple((d, E) for d, E in self.graded if d <= i))
 
-    def truncate_above(self, i: int) -> "FormalObject":
-        return FormalObject(tuple((d, E) for d, E in self.graded if d > i))
-
     def nonfg_atoms(self) -> tuple:
         out = []
         for d, E in self.graded:

@@ -155,10 +155,6 @@ class ElementaryModule:
             out |= s.primes
         return frozenset(out)
 
-    def fg_part(self):
-        """(rank, torsion) of the finitely generated atoms only."""
-        return self.free_rank, self.torsion
-
     # -- support ---------------------------------------------------------------
 
     def support(self):

@@ -324,26 +324,6 @@ class FgZModule:
     def torsion_primes(self) -> frozenset[int]:
         return frozenset(p for p, _, _ in self.torsion)
 
-    def torsion_order_exponent(self, p: int) -> int:
-        """Largest e with Z/p^e a summand (0 if none)."""
-        return max((e for q, e, _ in self.torsion if q == p), default=0)
-
-    def mod(self, p: int, t: int) -> tuple:
-        """Invariant factors of M/p^t M as a multiset of exponents of p."""
-        out = [t] * self.rank
-        for q, e, m in self.torsion:
-            if q == p:
-                out.extend([min(e, t)] * m)
-        return tuple(sorted(x for x in out if x > 0))
-
-    def part(self, p: int, t: int) -> tuple:
-        """Invariant factors of the p^t-torsion subgroup M[p^t], as exponents."""
-        out = []
-        for q, e, m in self.torsion:
-            if q == p:
-                out.extend([min(e, t)] * m)
-        return tuple(sorted(x for x in out if x > 0))
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -366,11 +346,6 @@ def support(M: FgZModule) -> ZSubset:
     if M.rank > 0:
         return ZSubset.whole()
     return ZSubset.finite(M.torsion_primes())
-
-
-def ass_primes(M: FgZModule) -> tuple[bool, frozenset[int]]:
-    """Associated primes over Z: (generic point present, maximal primes)."""
-    return M.rank > 0, M.torsion_primes()
 
 
 def tor(A: FgZModule, B: FgZModule) -> tuple[FgZModule, FgZModule]:
@@ -477,18 +452,6 @@ class FreeComplex:
         """Two-term free resolution of Z/n sitting in homological degree
         ``degree`` (terms in degrees degree-1 and degree)."""
         return FreeComplex(degree - 1, (1, 1), (((n,),),))
-
-    @staticmethod
-    def from_module(M: FgZModule, degree: int = 0) -> "FreeComplex":
-        """A free complex with homology M concentrated in one degree."""
-        pieces = [FreeComplex.stalk_free(M.rank, degree)] if M.rank else []
-        for p, e, m in M.torsion:
-            for _ in range(m):
-                pieces.append(FreeComplex.cyclic_resolution(p**e, degree))
-        out = FreeComplex.zero()
-        for piece in pieces:
-            out = direct_sum(out, piece)
-        return out
 
     @staticmethod
     def koszul(elements) -> "FreeComplex":

@@ -1,17 +1,16 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tstruct.cech import (
     LocFreeComplex,
-    NotStabilizedError,
     OracleScopeError,
     cech_model,
     check_object,
     cone_of_augmentation,
     divisible_rank_detection,
+    fingerprints,
     formal_object_model,
-    observables,
-    observables_stabilized,
-    predicted_observables,
+    predicted_fingerprints,
     rq_model_complex,
     tensor,
     validate_rgamma,
@@ -19,6 +18,7 @@ from tstruct.cech import (
     validate_tau_filtration,
     validate_tau_single,
 )
+from tstruct.corpus import random_formal_object, rng_from_seed
 from tstruct.derived import FormalObject, from_free_complex, rgamma
 from tstruct.elementary import ElementaryModule as EM
 from tstruct.filtration import canonical_filtration, constant_filtration, from_values
@@ -56,35 +56,32 @@ def test_label_discipline():
 
 
 def test_observables_divisible_signature():
-    # derived 2-torsion of the ring: length grows as t with corank 1
+    # derived 2-torsion of the ring: one growing summand, zero rational rank
     W2 = tensor(LocFreeComplex.unit(), cech_model(zf(2)))
-    rep = observables(W2, (2,), 6)
-    for t in range(1, 7):
-        assert rep.row(2, 0)[t - 1] == (t,)
+    rep = fingerprints(W2, (2,))
+    assert rep.fingerprint(2, 0) == (1, ())
+    assert rep.fingerprint(2, 1) == (0, ())
     assert rep.rank_at(0) == 0 and rep.rank_at(1) == 0
-    assert rep.growth_corank(2, 0) == 1
     assert rep.divisible_signals() == ((2, 0),)
-    # engine's answer (a Pruefer sum in degree 1) predicts the same table
+    # engine's answer (a Pruefer sum in degree 1) predicts the same rows
     claimed = rgamma(zf(2), FormalObject.free_stalk(1, 0))
-    assert check_object(claimed, W2, (2,), 6).ok
+    assert check_object(claimed, W2, (2,)).ok
 
 
-def test_observables_stabilizing_torsion():
+def test_fingerprint_finite_torsion():
     X = FreeComplex.cyclic_resolution(4, 0)
     W4 = tensor(LocFreeComplex.from_free_complex(X), cech_model(zf(2)))
-    rep = observables(W4, (2,), 6)
-    # degree 0 carries Z/4 (exponent capped at 2), degree 1 nothing
-    assert rep.row(2, 0)[5] == (2,)
-    assert rep.row(2, 1)[5] == ()
-    assert rep.finite_part(2, 0) == (2,)
-    assert rep.growth_corank(2, 0) == 0
+    rep = fingerprints(W4, (2,))
+    # degree 0 carries Z/4, degree 1 nothing, and nothing grows
+    assert rep.fingerprint(2, 0) == (0, ((2, 1),))
+    assert rep.fingerprint(2, 1) == (0, ())
     assert rep.divisible_signals() == ()
 
 
 def test_whole_level_is_identity():
     X = FreeComplex.koszul([4, 6])
     WX = tensor(LocFreeComplex.from_free_complex(X), cech_model(W))
-    assert check_object(from_free_complex(X), WX, (2, 3), 8).ok
+    assert check_object(from_free_complex(X), WX, (2, 3)).ok
 
 
 def test_rgamma_rq_validation_fixtures():
@@ -106,10 +103,21 @@ def test_validation_catches_wrong_claims():
     model = formal_object_model(
         FormalObject.stalk(EM.localized_free(zf(2), 1), 0)
     )
-    assert not check_object(wrong, model, (2,), 8).ok
-    # and the right claim does
+    rep = check_object(wrong, model, (2, 3))
+    assert not rep.ok
+    # one (kind, prime, degree, got, want) entry per differing row: here
+    # only the 2-local growth in degree 0
+    assert rep.mismatches == (("fingerprint", 2, 0, (0, ()), (2, ())),)
+    # a shifted claim differs in rational rank (prime 0) and at 3, sorted
+    assert check_object(FormalObject.free_stalk(1, 1), model, (3,)).mismatches == (
+        ("rational-rank", 0, 0, 1, 0),
+        ("rational-rank", 0, 1, 0, 1),
+        ("fingerprint", 3, 0, (1, ()), (0, ())),
+        ("fingerprint", 3, 1, (0, ()), (1, ())),
+    )
+    # and the right claim matches
     right = FormalObject.stalk(EM.localized_free(zf(2), 1), 0)
-    assert check_object(right, model, (2,), 8).ok
+    assert check_object(right, model, (2,)).ok
 
 
 def test_tau_validation_fixtures():
@@ -141,21 +149,31 @@ def test_scope_errors():
         )
 
 
-def test_stabilization_cap():
-    # an exponent at the cap boundary triggers doubling until resolved
-    boundary = FormalObject.stalk(EM.cyclic_torsion(2, 11), 0)
-    rep = observables_stabilized(formal_object_model(boundary), (2,), 12)
-    assert rep.tcap >= 24 and rep.finite_part(2, 0) == (11,)
-    assert rep.growth_corank(2, 0) == 0
-    # an object unstable at every doubling stage is reported, not guessed
-    stuck = FormalObject.stalk(
+def test_deep_torsion_is_exact():
+    # exponents far past any finite reduction are observed as they are
+    deep = FormalObject.stalk(
         EM.cyclic_torsion(2, 11)
         + EM.cyclic_torsion(2, 23)
         + EM.cyclic_torsion(2, 47),
         0,
     )
-    with pytest.raises(NotStabilizedError):
-        observables_stabilized(formal_object_model(stuck), (2,), 12)
+    model = formal_object_model(deep)
+    rep = fingerprints(model, (2,))
+    assert rep.fingerprint(2, 0) == (0, ((11, 1), (23, 1), (47, 1)))
+    assert rep.divisible_signals() == ()
+    assert check_object(deep, model, (2,)).ok
+    assert divisible_rank_detection(deep) == ()
+
+
+def test_deep_torsion_rejected():
+    # Z/2^20 against a model of Z/2^13: equal on every reduction mod 2^t
+    # with t <= 13, told apart by the exponents
+    model = formal_object_model(FormalObject.cyclic_stalk(2**13, 0))
+    rep = check_object(FormalObject.cyclic_stalk(2**20, 0), model, (2,))
+    assert not rep.ok
+    assert rep.mismatches == (
+        ("fingerprint", 2, 0, (0, ((13, 1),)), (0, ((20, 1),))),
+    )
 
 
 def test_divisible_rank_detection():
@@ -178,11 +196,62 @@ def test_predicted_observables_consistency():
         )
     )
     model = formal_object_model(F)
-    got = observables(model, (2, 3, 5), 10, -1, 2)
-    want = predicted_observables(F, (2, 3, 5), 10, -1, 2)
+    got = fingerprints(model, (2, 3, 5), -1, 2)
+    want = predicted_fingerprints(F, (2, 3, 5), -1, 2)
     assert got == want
+    assert got.fingerprint(2, 0) == (3, ((3, 1),))  # Z, and Pruefer above
+    assert got.fingerprint(3, 1) == (0, ())  # Z[1/3] is 3-divisible
+    assert got.fingerprint(5, 1) == (1, ())
 
 
 def test_cone_of_augmentation_requires_unit():
     with pytest.raises(ValueError):
         cone_of_augmentation(LocFreeComplex(0, ((frozenset({2}),),), ()))
+
+
+# -- fingerprints on random formal objects ------------------------------------
+
+
+def _primes(F):
+    return tuple(sorted(F.mentioned_primes())) or (2,)
+
+
+def _replace(F, d, E):
+    return FormalObject(tuple((dd, E if dd == d else G) for dd, G in F.graded))
+
+
+def _single_atom_mutations(F):
+    """Each wrong claim one atom away from F: a torsion exponent raised by
+    one, a Pruefer sum moved up one degree, Z[1/S] replaced by Z."""
+    for d, E in F.graded:
+        for p, e, m in E.torsion:
+            torsion = tuple(
+                (q, f, n - ((q, f) == (p, e))) for q, f, n in E.torsion
+            ) + ((p, e + 1, 1),)
+            yield _replace(F, d, EM(E.free_rank, E.localized, torsion, E.prufer))
+        for s, m in E.prufer:
+            rest = tuple(x for x in E.prufer if x != (s, m))
+            moved = FormalObject.stalk(EM.prufer_sum(s, m), d + 1)
+            yield _replace(F, d, EM(E.free_rank, E.localized, E.torsion, rest)) + moved
+        for s, r in E.localized:
+            rest = tuple(x for x in E.localized if x != (s, r))
+            yield _replace(F, d, EM(E.free_rank + r, rest, E.torsion, E.prufer))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fingerprint_accepts_models_of_random_objects(seed):
+    F = random_formal_object(rng_from_seed(seed))
+    assert check_object(F, formal_object_model(F), _primes(F)).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fingerprint_rejects_single_atom_mutations(seed):
+    F = random_formal_object(rng_from_seed(seed))
+    mutants = list(_single_atom_mutations(F))
+    assume(mutants)
+    model = formal_object_model(F)
+    for G in mutants:
+        assert G != F
+        assert not check_object(G, model, _primes(F)).ok

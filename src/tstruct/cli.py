@@ -57,14 +57,15 @@ class RunConfig:
     """Reproducibility knobs shared by the suite runners."""
 
     seed: int = DEFAULT_SEED
-    window: tuple = (-4, 4)
-    prime_window: tuple = (2, 3, 5)
-    engine: str = "profile"
     suite: str = "all"
 
 
 class UsageError(Exception):
     pass
+
+
+# what a decoder raises on well-formed JSON of the wrong shape
+_BAD_PAYLOAD = (KeyError, ValueError, TypeError, AttributeError)
 
 
 def _read_payload(path: str):
@@ -84,7 +85,7 @@ def _emit(payload: dict):
 def _load_filtration(path: str) -> SpFiltration:
     try:
         return SpFiltration.from_json(_read_payload(path))
-    except (KeyError, ValueError, TypeError) as exc:
+    except _BAD_PAYLOAD as exc:
         raise UsageError(f"bad filtration payload: {exc}")
 
 
@@ -95,7 +96,7 @@ def _load_object(path: str) -> FormalObject:
             return from_free_complex(FreeComplex.from_json(obj))
         if "graded" in obj:
             return FormalObject.from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
+    except _BAD_PAYLOAD as exc:
         raise UsageError(f"bad complex payload: {exc}")
     raise UsageError("complex payload needs 'ranks' (free complex) or 'graded'")
 
@@ -103,7 +104,11 @@ def _load_object(path: str) -> FormalObject:
 def _load_spectrum(arg: str):
     if arg in BUILTIN_SPECTRA:
         return BUILTIN_SPECTRA[arg]()
-    return spectrum_from_json(_read_payload(arg))
+    payload = _read_payload(arg)
+    try:
+        return spectrum_from_json(payload)
+    except _BAD_PAYLOAD as exc:
+        raise UsageError(f"bad spectrum payload: {exc}")
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -120,7 +125,10 @@ def _codim_for(spectrum, path):
     if path is None:
         raise UsageError("a finite poset needs --codim values")
     values = _read_payload(path)
-    return CodimFn.for_poset(spectrum, values)
+    try:
+        return CodimFn.for_poset(spectrum, values)
+    except _BAD_PAYLOAD as exc:
+        raise UsageError(f"bad codimension payload: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +221,11 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_kashiwara(args) -> int:
-    Z = subset_from_json(_read_payload(args.subset), SPEC_Z)
+    payload = _read_payload(args.subset)
+    try:
+        Z = subset_from_json(payload, SPEC_Z)
+    except _BAD_PAYLOAD as exc:
+        raise UsageError(f"bad subset payload: {exc}")
     X = _load_object(args.complex)
     if args.lemma == 1:
         conditions = kashiwara1_predicate(Z, X, args.n)

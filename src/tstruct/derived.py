@@ -31,7 +31,7 @@ from typing import Optional
 from .elementary import ElementaryModule
 from .filtration import SpFiltration, canonical_filtration, from_values
 from .spectrum import GENERIC, SPEC_Z, SpecZPoint, ZSubset, next_prime, zpoint
-from .zmodules import FgZModule, FreeComplex, homology, hom_ext_tables
+from .zmodules import FgZModule, FreeComplex, homology, hom_ext_tables, hom_ext_vanish
 
 
 class IndeterminateObjectError(ValueError):
@@ -413,16 +413,17 @@ def _generator_module(point) -> ElementaryModule:
     return ElementaryModule.cyclic_torsion(pt.p, 1)
 
 
-def _level_witness_points(level: ZSubset, Y: FormalObject):
+def _level_witness_points(level: ZSubset, object_primes: frozenset):
     """Finitely many points faithfully representing the level's generators.
 
-    Membership of a prime unnamed by both the level and Y is uniform, so
-    one fresh prime stands for the whole cofinite bulk.
+    Membership of a prime unnamed by both the level and the object (whose
+    primes are ``object_primes``) is uniform, so one fresh prime stands
+    for the whole cofinite bulk.
     """
     pts = []
     if level.is_whole:
         pts.append(SpecZPoint(GENERIC))
-    named = set(Y.mentioned_primes()) | set(level.primes)
+    named = object_primes | level.primes
     for p in sorted(named):
         if level.contains(p):
             pts.append(SpecZPoint(p))
@@ -442,7 +443,9 @@ def orthogonality_check(
 
     Maps out of a stalk in degree i into a stalk in degree b - m live in
     Ext^(i-(b-m)); only exponents 0 and 1 survive over Z, so each pair
-    contributes at m = b - i (Hom) and m = b - i + 1 (Ext^1).
+    contributes at m = b - i (Hom) and m = b - i + 1 (Ext^1).  Only the
+    vanishing of the two groups is decided; a group is built only to
+    name it in a witness.
 
     >>> f = from_values(SPEC_Z, {1: ZSubset.finite([2])}, ZSubset.finite([2]),
     ...                 ZSubset.empty())
@@ -453,18 +456,26 @@ def orthogonality_check(
     _require_specz(filtration)
     Y.require_determinate("orthogonality")
     lo, hi = window
+    object_primes = Y.mentioned_primes()
     witnesses = []
     for i in range(lo, hi + 1):
         level = filtration.value(i)
         if level.is_empty:
             continue
-        for pt in _level_witness_points(level, Y):
+        for pt in _level_witness_points(level, object_primes):
             G = _generator_module(pt)
             for b, E in Y.graded:
+                m = b - i
+                if m > 0:
+                    break  # degrees ascend: no later shift is <= 0 either
+                hom_zero, ext_zero = hom_ext_vanish(G, E)
+                if hom_zero and (ext_zero or m == 0):
+                    continue
                 hom, ext = hom_ext_tables(G, E)
-                for m, group in ((b - i, hom), (b - i + 1, ext)):
-                    if m <= 0 and not group.is_zero:
-                        witnesses.append((str(pt), i, m, str(group)))
+                if not hom_zero:
+                    witnesses.append((str(pt), i, m, str(hom)))
+                if m < 0 and not ext_zero:
+                    witnesses.append((str(pt), i, m + 1, str(ext)))
     return OrthogonalityReport(not witnesses, tuple(witnesses))
 
 
@@ -497,10 +508,10 @@ def generator_reduction_crosscheck(
     for a, Ma in H.items():
         A = ElementaryModule.from_fg(Ma)
         for b, E in Y.graded:
-            hom, ext = hom_ext_tables(A, E)
-            if b - a <= 0 and not hom.is_zero:
+            hom_zero, ext_zero = hom_ext_vanish(A, E)
+            if b - a <= 0 and not hom_zero:
                 cond1 = False
-            if b - a + 1 <= 0 and not ext.is_zero:
+            if b - a + 1 <= 0 and not ext_zero:
                 cond1 = False
     cond3 = True
     for a, Ma in H.items():
@@ -513,10 +524,10 @@ def generator_reduction_crosscheck(
         for pt in points:
             G = _generator_module(pt)
             for b, E in Y.graded:
-                hom, ext = hom_ext_tables(G, E)
-                if b - a <= 0 and not hom.is_zero:
+                hom_zero, ext_zero = hom_ext_vanish(G, E)
+                if b - a <= 0 and not hom_zero:
                     cond3 = False
-                if b - a + 1 <= 0 and not ext.is_zero:
+                if b - a + 1 <= 0 and not ext_zero:
                     cond3 = False
     return GeneratorReductionReport(cond1 == cond3, cond1, cond3)
 

@@ -73,7 +73,12 @@ class ElementaryModule:
 
     @staticmethod
     def zero() -> "ElementaryModule":
-        return ElementaryModule()
+        """The interned zero module (values are frozen, so one suffices).
+
+        >>> ElementaryModule.zero() is ElementaryModule.zero()
+        True
+        """
+        return _ZERO
 
     @staticmethod
     def free(rank: int) -> "ElementaryModule":
@@ -89,7 +94,7 @@ class ElementaryModule:
         ElementaryModule.free(2)
         """
         if rank == 0:
-            return ElementaryModule()
+            return _ZERO
         if inverted.is_empty:
             return ElementaryModule(free_rank=rank)
         return ElementaryModule(localized=((inverted, rank),))
@@ -97,13 +102,13 @@ class ElementaryModule:
     @staticmethod
     def cyclic_torsion(p: int, e: int, mult: int = 1) -> "ElementaryModule":
         if mult == 0:
-            return ElementaryModule()
+            return _ZERO
         return ElementaryModule(torsion=((p, e, mult),))
 
     @staticmethod
     def prufer_sum(primes: ZSubset, mult: int = 1) -> "ElementaryModule":
         if mult == 0 or primes.is_empty:
-            return ElementaryModule()
+            return _ZERO
         return ElementaryModule(prufer=((primes, mult),))
 
     @staticmethod
@@ -114,6 +119,11 @@ class ElementaryModule:
     # -- structure ------------------------------------------------------------
 
     def __add__(self, other: "ElementaryModule") -> "ElementaryModule":
+        # both sides are already normalized, so a zero summand changes nothing
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         return ElementaryModule(
             self.free_rank + other.free_rank,
             self.localized + other.localized,
@@ -124,7 +134,7 @@ class ElementaryModule:
     def scale(self, n: int) -> "ElementaryModule":
         """Direct sum of n copies."""
         if n == 0:
-            return ElementaryModule()
+            return _ZERO
         return ElementaryModule(
             self.free_rank * n,
             tuple((s, r * n) for s, r in self.localized),
@@ -253,3 +263,6 @@ class ElementaryModule:
                 for e in obj.get("prufer", ())
             ),
         )
+
+
+_ZERO = ElementaryModule()

@@ -26,7 +26,14 @@ from .corpus import (
 from .derived import FormalObject, from_free_complex
 from .elementary import ElementaryModule
 from .spectrum import SPEC_Z, FinPoset, SpecZPoint, ZSubset
-from .zmodules import FgZModule, FreeComplex, homology, hom_ext_tables, top_indices
+from .zmodules import (
+    FgZModule,
+    FreeComplex,
+    homology,
+    hom_ext_tables,
+    hom_ext_vanish,
+    top_indices,
+)
 
 TWO_CHAIN = FinPoset(["p", "m"], [("p", "m")])
 POSET_WINDOW = (-2, 2)
@@ -702,10 +709,9 @@ def _coaisle_against_cyclic(Y: FormalObject, m: int, rng) -> tuple:
     for i in range(-4, 5):
         ok = True
         for b, E in Y.graded:
-            hom, ext = hom_ext_tables(G, E)
-            for mm, group in ((b - i, hom), (b - i + 1, ext)):
-                if mm <= 0 and not group.is_zero:
-                    ok = False
+            hom_zero, ext_zero = hom_ext_vanish(G, E)
+            if (b - i <= 0 and not hom_zero) or (b - i + 1 <= 0 and not ext_zero):
+                ok = False
         out.append(ok)
     return tuple(out)
 

@@ -743,18 +743,21 @@ def _hom_ext_atom(src_kind, src, tgt_kind, tgt):
     return ElementaryModule.cyclic_torsion(p, e, m0 * m1), zero
 
 
-def _atoms_of(E: ElementaryModule, as_source: bool):
+def _require_fg_source(A: ElementaryModule):
+    if A.localized:
+        raise UnsupportedPairError("localized modules are not supported as Hom sources")
+    if A.prufer:
+        raise UnsupportedPairError("Pruefer modules are not supported as Hom sources")
+
+
+def _atoms_of(E: ElementaryModule):
     if E.free_rank:
         yield ("free", E.free_rank)
     for s, r in E.localized:
-        if as_source:
-            raise UnsupportedPairError("localized modules are not supported as Hom sources")
         yield ("loc", (s, r))
     for p, e, m in E.torsion:
         yield ("tors", (p, e, m))
     for s, m in E.prufer:
-        if as_source:
-            raise UnsupportedPairError("Pruefer modules are not supported as Hom sources")
         yield ("prufer", (s, m))
 
 
@@ -772,11 +775,47 @@ def hom_ext_tables(A: ElementaryModule, B: ElementaryModule):
     >>> str(ext)
     'Z/8'
     """
+    _require_fg_source(A)
     hom = ElementaryModule.zero()
     ext = ElementaryModule.zero()
-    for sk, sd in _atoms_of(A, as_source=True):
-        for tk, td in _atoms_of(B, as_source=False):
+    for sk, sd in _atoms_of(A):
+        for tk, td in _atoms_of(B):
             h, x = _hom_ext_atom(sk, sd, tk, td)
             hom = hom + h
             ext = ext + x
     return hom, ext
+
+
+def hom_ext_vanish(A: ElementaryModule, B: ElementaryModule) -> tuple[bool, bool]:
+    """(Hom(A, B) is zero, Ext^1(A, B) is zero), without building either.
+
+    Reads the atom table of ``_hom_ext_atom``: atom multiplicities are
+    positive and atom prime sets nonempty, so an atom pair contributes a
+    nonzero group exactly when its table entry is not zero.  A must be
+    finitely generated, as for ``hom_ext_tables``.
+
+    >>> hom_ext_vanish(ElementaryModule.cyclic_torsion(2, 3), ElementaryModule.free(1))
+    (True, False)
+    >>> hom_ext_vanish(ElementaryModule.free(1), ElementaryModule.zero())
+    (True, True)
+    """
+    _require_fg_source(A)
+    # a free source maps onto every nonzero target and has no Ext^1
+    hom_zero = not A.free_rank or B.is_zero
+    ext_zero = True
+    for p, _, _ in A.torsion:
+        if ext_zero:
+            # Ext^1(Z/p^e, Z) = Z/p^e; Ext^1(Z/p^e, Z[S^-1]) = 0 iff p in S
+            if B.free_rank or any(not s.contains(p) for s, _ in B.localized):
+                ext_zero = False
+        for q, _, _ in B.torsion:
+            if q == p:
+                # Hom = Ext^1 = Z/p^min(e, f)
+                hom_zero = ext_zero = False
+                break
+        if hom_zero and any(s.contains(p) for s, _ in B.prufer):
+            # Hom(Z/p^e, Z(p^oo)) = Z/p^e
+            hom_zero = False
+        if not hom_zero and not ext_zero:
+            break
+    return hom_zero, ext_zero

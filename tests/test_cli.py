@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,38 @@ def test_usage_errors(files, capsys, tmp_path):
     assert main(["verify", "--suite", "nonsense"]) == 2
     assert main(["census", "--window", "zz"]) == 2
     assert main(["nope"]) == 2
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so an escaping exception shows as a
+    traceback on stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "tstruct.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        ({}, ("census", "--spectrum", "{}", "--window", "0..1")),
+        (5, ("census", "--spectrum", "{}", "--window", "0..1")),
+        (5, ("kashiwara", "--lemma", "1", "-z", "{}", "-x", "X", "-n", "0")),
+        (5, ("cm", "--spectrum", "two-chain", "--codim", "{}")),
+    ],
+    ids=["census-spectrum-empty", "census-spectrum-int", "kashiwara-subset-int",
+         "cm-codim-int"],
+)
+def test_malformed_payload_is_usage_error(files, payload, argv):
+    bad = files("bad.json", payload)
+    x = files("x.json", Z_STALK)
+    argv = [bad if a == "{}" else x if a == "X" else a for a in argv]
+    proc = run_process(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: bad ")
 
 
 def test_bigint_roundtrip():

@@ -166,6 +166,70 @@ def test_orthogonality_fixtures():
     assert orthogonality_check(CANONICAL, FormalObject.zero(), (-3, 3)).holds
 
 
+def _reference_witnesses(filtration, Y, window):
+    """orthogonality_check's witnesses from the full Hom/Ext groups: every
+    generator point of every level against every degree of Y."""
+    from tstruct.derived import _generator_module
+    from tstruct.spectrum import GENERIC, SpecZPoint, next_prime
+    from tstruct.zmodules import hom_ext_tables
+
+    witnesses = []
+    boundary_ext = 0  # nonzero Ext^1 at b - i == 0, where it must not count
+    for i in range(window[0], window[1] + 1):
+        level = filtration.value(i)
+        if level.is_empty:
+            continue
+        pts = [SpecZPoint(GENERIC)] if level.is_whole else []
+        named = set(Y.mentioned_primes()) | set(level.primes)
+        pts += [SpecZPoint(p) for p in sorted(named) if level.contains(p)]
+        if level.is_whole or level.kind == "cofinite":
+            fresh = 2
+            while fresh in named:
+                fresh = next_prime(fresh)
+            pts.append(SpecZPoint(fresh))
+        for pt in pts:
+            G = _generator_module(pt)
+            for b, comp in Y.graded:
+                hom, ext = hom_ext_tables(G, comp)
+                for m, group in ((b - i, hom), (b - i + 1, ext)):
+                    if m <= 0 and not group.is_zero:
+                        witnesses.append((str(pt), i, m, str(group)))
+                boundary_ext += b == i and not ext.is_zero
+    return tuple(witnesses), boundary_ext
+
+
+def test_orthogonality_witnesses_match_table_reference():
+    from tstruct.corpus import (
+        random_formal_object,
+        random_free_complex,
+        rng_from_seed,
+    )
+    from tstruct.filtration import enumerate_weak_cousin
+
+    census = enumerate_weak_cousin(SPEC_Z, (-3, 3), universe=(2, 3, 5), cap=10_000_000)
+    rng = rng_from_seed(20261018)
+    objects = []
+    for _ in range(10):
+        objects.append(from_free_complex(random_free_complex(rng)))
+        objects.append(random_formal_object(rng))
+    window = (-4, 4)
+    holds = fails = hom_at_boundary = boundary_ext = 0
+    for k, f in enumerate(census):
+        # the upper truncation vertex of an f.g. object is orthogonal
+        targets = objects + [tau_filtration(f, objects[2 * (k % 10)]).upper]
+        for Y in targets:
+            rep = orthogonality_check(f, Y, window)
+            want, ext_skipped = _reference_witnesses(f, Y, window)
+            assert rep.witnesses == want, (str(f), str(Y))
+            assert rep.holds == (not want)
+            holds += rep.holds
+            fails += not rep.holds
+            hom_at_boundary += any(w[2] == 0 for w in want)
+            boundary_ext += ext_skipped
+    assert holds > 0 and fails > 0
+    assert hom_at_boundary > 0 and boundary_ext > 0
+
+
 def test_shift_equivariance():
     X = FormalObject.cyclic_stalk(8, 0) + FormalObject.free_stalk(1, 1)
     res = tau_filtration(REPEATED_LEVEL, X)

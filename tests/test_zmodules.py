@@ -3,14 +3,17 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tstruct.corpus import random_formal_object, rng_from_seed
 from tstruct.elementary import ElementaryModule
 from tstruct.spectrum import ZSubset
 from tstruct.zmodules import (
     FgZModule,
     FreeComplex,
     NEG_INF,
+    UnsupportedPairError,
     direct_sum,
     hom_ext_tables,
+    hom_ext_vanish,
     homology,
     matmul,
     smith_normal_form,
@@ -194,6 +197,56 @@ def test_hom_ext_frozen_values():
     assert ext.is_zero
     with pytest.raises(ValueError):
         hom_ext_tables(half, ElementaryModule.free(1))
+
+
+PRIMES = (2, 3, 5)
+
+fg_sources = st.builds(
+    lambda r, tors: ElementaryModule(free_rank=r, torsion=tuple((p, e, 1) for p, e in tors)),
+    st.integers(0, 2),
+    st.lists(st.tuples(st.sampled_from(PRIMES), st.integers(1, 3)), max_size=3),
+)
+# localized and Pruefer atoms over cofinite prime sets, which the corpus
+# generator does not draw
+cofinite_atoms = st.builds(
+    lambda loc, pru: (
+        (ElementaryModule.localized_free(ZSubset.cofinite(loc), 1) if loc is not None
+         else ElementaryModule.zero())
+        + (ElementaryModule.prufer_sum(ZSubset.cofinite(pru), 1) if pru is not None
+           else ElementaryModule.zero())
+    ),
+    st.none() | st.lists(st.sampled_from(PRIMES), unique=True),
+    st.none() | st.lists(st.sampled_from(PRIMES), unique=True),
+)
+
+
+@given(fg_sources, st.integers(0, 2**32 - 1), cofinite_atoms)
+@settings(max_examples=300, deadline=None)
+def test_hom_ext_vanish_matches_tables(A, seed, extra):
+    F = random_formal_object(rng_from_seed(seed))
+    targets = [ElementaryModule.zero(), extra]
+    for _, E in F.graded:
+        targets += [E, E + extra]
+    for B in targets:
+        hom, ext = hom_ext_tables(A, B)
+        assert hom_ext_vanish(A, B) == (hom.is_zero, ext.is_zero), (A, B)
+
+
+def test_hom_ext_vanish_rejects_non_fg_sources():
+    two = ZSubset.finite([2])
+    sources = [
+        ElementaryModule.localized_free(two, 1),
+        ElementaryModule.localized_free(ZSubset.cofinite([3]), 1),
+        ElementaryModule.prufer_sum(two, 1),
+        ElementaryModule.prufer_sum(ZSubset.cofinite([]), 1) + ElementaryModule.free(1),
+        ElementaryModule.cyclic_torsion(2, 1) + ElementaryModule.localized_free(two, 1),
+    ]
+    for A in sources:
+        for B in (ElementaryModule.zero(), ElementaryModule.free(1)):
+            with pytest.raises(UnsupportedPairError):
+                hom_ext_vanish(A, B)
+            with pytest.raises(UnsupportedPairError):
+                hom_ext_tables(A, B)
 
 
 def test_tor():

@@ -19,10 +19,20 @@ at p.  The fingerprint of degree d is the free rank of H^d(K_p) (the
 growth count: summands of the reduction mod p^t that grow with t) and
 the multiset of p-torsion exponents of H^d(K_p).
 
+A model is a direct sum of blocks, kept as a tuple of validated
+``LocFreeComplex`` values (one per atom of a formal object, or one
+stable-Koszul tensor per atom block) and never assembled into one
+block-diagonal complex.  Homology is additive, so each block is
+observed once, by a cache keyed by its labels and differentials (not
+its start degree, since re-indexing a complex re-indexes its homology),
+and a model's report adds its blocks' rows.
+
 An engine answer (a formal object) is checked by predicting the same
-fingerprints in closed form and demanding exact agreement.  Finite
-p-torsion of any depth is compared exponent by exponent; a divisible
-part shows up as a growth count that differs from the rational rank.
+fingerprints in closed form and demanding exact agreement.  Reports
+keep only nonzero rows, and a check compares the union of their keys.
+Finite p-torsion of any depth is compared exponent by exponent; a
+divisible part shows up as a growth count that differs from the
+rational rank.
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ from .elementary import ElementaryModule
 from .filtration import SpFiltration
 from .spectrum import ZSubset
 from .zmodules import (
-    FgZModule,
     FreeComplex,
     homology,
     rank_rational,
@@ -148,34 +157,30 @@ class LocFreeComplex:
         )
 
 
-def direct_sum(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
-    if A.is_zero:
-        return B
-    if B.is_zero:
-        return A
-    lo = min(A.min_degree, B.min_degree)
-    hi = max(A.max_degree, B.max_degree)
-    labels = []
-    diffs = []
-    for d in range(lo, hi + 1):
-        labels.append(A.labels_at(d) + B.labels_at(d))
-    for d in range(lo, hi):
-        la, lb = len(A.labels_at(d)), len(B.labels_at(d))
-        ta, tb = len(A.labels_at(d + 1)), len(B.labels_at(d + 1))
-        MA, MB = A.diff_at(d), B.diff_at(d)
-        M = zeros(ta + tb, la + lb)
-        for i in range(ta):
-            for j in range(la):
-                M[i][j] = MA[i][j]
-        for i in range(tb):
-            for j in range(lb):
-                M[ta + i][la + j] = MB[i][j]
-        diffs.append(M)
-    return LocFreeComplex(lo, tuple(labels), tuple(tuple(tuple(r) for r in M) for M in diffs))
+def _blocks(W) -> tuple:
+    """The blocks of a model: a tuple of blocks, or one block on its own."""
+    if isinstance(W, LocFreeComplex):
+        return () if W.is_zero else (W,)
+    return W
 
 
-def tensor(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
-    """Tensor product with Koszul signs; labels of summands unite."""
+def direct_sum(A, B) -> tuple:
+    """The blocks of both sides, side by side."""
+    return _blocks(A) + _blocks(B)
+
+
+def tensor(A, B):
+    """Tensor product with Koszul signs; labels of summands unite.
+
+    Two blocks give one block; on models the product distributes over
+    the pairs of blocks and gives a model.
+    """
+    if isinstance(A, LocFreeComplex) and isinstance(B, LocFreeComplex):
+        return _tensor_blocks(A, B)
+    return tuple(_tensor_blocks(a, b) for a in _blocks(A) for b in _blocks(B))
+
+
+def _tensor_blocks(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
     if A.is_zero or B.is_zero:
         return LocFreeComplex.zero()
     lo = A.min_degree + B.min_degree
@@ -344,76 +349,86 @@ def _atom_models(degree: int, E: ElementaryModule):
 
 
 @lru_cache(maxsize=None)
-def formal_object_model(F: FormalObject) -> LocFreeComplex:
-    """An honest chain complex with the homology the formal object claims."""
-    out = LocFreeComplex.zero()
-    for d, E in F.graded:
-        for piece in _atom_models(d, E):
-            out = direct_sum(out, piece)
-    return out
+def formal_object_model(F: FormalObject) -> tuple:
+    """An honest chain model with the homology the formal object claims:
+    one block per atom."""
+    return tuple(piece for d, E in F.graded for piece in _atom_models(d, E))
 
 
 # ---------------------------------------------------------------------------
 # observables
 
 
+_ZERO_ROW = (0, ())
+
+
 @dataclass(frozen=True)
 class OracleReport:
-    """Per-degree rational ranks plus exact p-local fingerprints.
+    """Rational ranks plus exact p-local fingerprints, nonzero rows only.
 
-    ``fingerprints[p-index][degree-index]`` is ``(growth, exponents)``:
-    the growth count of the (p, degree) row and its p-torsion as sorted
-    ``((e, multiplicity), ...)`` pairs, one per summand Z/p^e.
+    ``ranks`` maps a degree to its rational rank; ``rows`` maps
+    ``(p, degree)`` to ``(growth, exponents)``: the growth count of the
+    row and its p-torsion as sorted ``((e, multiplicity), ...)`` pairs,
+    one per summand Z/p^e.  Only degrees in ``[lo, hi]`` are recorded.
     """
 
     lo: int
     hi: int
     primes: tuple
-    ranks: tuple
-    fingerprints: tuple
+    ranks: dict
+    rows: dict
 
     def rank_at(self, d: int) -> int:
-        return self.ranks[d - self.lo] if self.lo <= d <= self.hi else 0
+        return self.ranks.get(d, 0)
 
     def fingerprint(self, p: int, d: int) -> tuple:
-        if not (self.lo <= d <= self.hi):
-            return (0, ())
-        return self.fingerprints[self.primes.index(p)][d - self.lo]
+        if p not in self.primes:
+            raise ValueError(f"prime {p} was not observed")
+        return self.rows.get((p, d), _ZERO_ROW)
 
     def divisible_signals(self):
         """(p, d) rows whose growth count differs from the rational rank:
         the signature of Pruefer or localized (non-finitely-generated)
         homology touching p in degrees d or d+1."""
+        keys = self.rows.keys() | {(p, d) for p in self.primes for d in self.ranks}
         return tuple(
             (p, d)
-            for p, rows in zip(self.primes, self.fingerprints)
-            for d, (growth, _) in enumerate(rows, self.lo)
-            if growth != self.rank_at(d)
+            for p, d in sorted(keys)
+            if self.rows.get((p, d), _ZERO_ROW)[0] != self.rank_at(d)
         )
 
 
-def _mod_p_reduction(W: LocFreeComplex, p: int) -> FreeComplex:
-    """Drop the p-divisible summands and integerize: reductions mod p^t of
-    the result and of W agree for every t."""
-    keep = [
-        [j for j, lab in enumerate(W.labels_at(d)) if p not in lab]
-        for d in W.degrees()
-    ]
-    ranks = tuple(len(k) for k in keep)
-    diffs = []
-    for k in range(len(ranks) - 1):
-        M = W.diff_at(W.min_degree + k)
-        diffs.append(
-            tuple(
-                tuple(M[i][j] for j in keep[k]) for i in keep[k + 1]
-            )
-        )
-    return FreeComplex(W.min_degree, ranks, tuple(diffs))
+def _mod_p_reduction(labels: tuple, diffs: tuple, p: int) -> FreeComplex:
+    """Drop the p-divisible summands of a block and integerize: reductions
+    mod p^t of the result and of the block agree for every t."""
+    keep = [[j for j, lab in enumerate(row) if p not in lab] for row in labels]
+    return FreeComplex(
+        0,
+        tuple(len(k) for k in keep),
+        tuple(
+            tuple(tuple(M[i][j] for j in keep[k]) for i in keep[k + 1])
+            for k, M in enumerate(diffs)
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
-def _integral_homology_mod(W: LocFreeComplex, p: int):
-    return homology(_mod_p_reduction(W, p))
+def _integral_homology_mod(labels: tuple, diffs: tuple, p: int) -> tuple:
+    """The nonzero p-local rows ``((k, growth, exponents), ...)`` of one
+    block, k counted from the block's lowest degree."""
+    H = homology(_mod_p_reduction(labels, diffs, p))
+    rows = ((k, M.rank, _p_exponents(M.torsion, p)) for k, M in H.items())
+    return tuple(row for row in rows if row[1] or row[2])
+
+
+@lru_cache(maxsize=None)
+def _rational_ranks(labels: tuple, diffs: tuple) -> tuple:
+    """The nonzero rational homology ranks ``((k, rank), ...)`` of one
+    block, k counted from the block's lowest degree."""
+    # rational ranks of the differentials into and out of each degree
+    rk = [0] + [rank_rational([list(r) for r in M]) for M in diffs] + [0]
+    ranks = ((k, len(row) - rk[k] - rk[k + 1]) for k, row in enumerate(labels))
+    return tuple((k, r) for k, r in ranks if r)
 
 
 def _p_exponents(torsion: tuple, p: int) -> tuple:
@@ -421,18 +436,35 @@ def _p_exponents(torsion: tuple, p: int) -> tuple:
     return tuple((e, m) for q, e, m in torsion if q == p)
 
 
-def _window(W: LocFreeComplex) -> tuple:
-    return (W.min_degree - 1, W.max_degree + 1) if W.labels else (0, 0)
+def _merge_exponents(a: tuple, b: tuple) -> tuple:
+    acc = dict(a)
+    for e, m in b:
+        acc[e] = acc.get(e, 0) + m
+    return tuple(sorted(acc.items()))
 
 
-def fingerprints(W: LocFreeComplex, primes, lo=None, hi=None) -> OracleReport:
-    """Observe a complex: rational ranks and p-local fingerprints.
+def _window(W) -> tuple:
+    blocks = _blocks(W)
+    if not blocks:
+        return (0, 0)
+    return (
+        min(B.min_degree for B in blocks) - 1,
+        max(B.max_degree for B in blocks) + 1,
+    )
+
+
+def fingerprints(W, primes, lo=None, hi=None) -> OracleReport:
+    """Observe a model (a tuple of blocks, or one block): rational ranks
+    and p-local fingerprints.
 
     The fingerprint at p comes from the integral homology of the
     p-reduction K_p, which fixes the homology of every reduction of W
     through universal coefficients:
 
         H^d(W (x) Z/p^t)  =  H^d(K_p)/p^t  (+)  H^{d+1}(K_p)[p^t].
+
+    Homology is additive over blocks, so the rows of W are the sums of
+    its blocks' rows: growth counts add and exponent multisets merge.
 
     >>> W = tensor(LocFreeComplex.unit(), cech_model(ZSubset.finite([2])))
     >>> r = fingerprints(W, (2,))
@@ -442,31 +474,28 @@ def fingerprints(W: LocFreeComplex, primes, lo=None, hi=None) -> OracleReport:
     (The divisible 2-torsion sitting in degree 1 shows up as a summand
     of degree 0 that grows with t, against zero rational rank.)
     """
-    w_lo, w_hi = _window(W)
+    blocks = _blocks(W)
+    w_lo, w_hi = _window(blocks)
     lo = w_lo if lo is None else lo
     hi = w_hi if hi is None else hi
     primes = tuple(sorted(set(primes)))
-    degrees = range(lo, hi + 1)
-    # rational rank of the differential leaving each degree of W
-    out_rank = {d: rank_rational(W.diff_at(d)) for d in W.degrees()}
-    ranks = tuple(
-        len(W.labels_at(d)) - out_rank.get(d, 0) - out_rank.get(d - 1, 0)
-        for d in degrees
-    )
-    zero = FgZModule.zero()
-    rows = []
-    for p in primes:
-        H = _integral_homology_mod(W, p)
-        rows.append(
-            tuple(
-                (M.rank, _p_exponents(M.torsion, p))
-                for M in (H.get(d, zero) for d in degrees)
-            )
-        )
-    return OracleReport(lo, hi, primes, ranks, tuple(rows))
-
-
-_NO_ATOMS = ElementaryModule.zero()
+    ranks: dict = {}
+    rows: dict = {}
+    for B in blocks:
+        base = B.min_degree
+        for k, r in _rational_ranks(B.labels, B.diffs):
+            if lo <= base + k <= hi:
+                ranks[base + k] = ranks.get(base + k, 0) + r
+        for p in primes:
+            for k, growth, exps in _integral_homology_mod(B.labels, B.diffs, p):
+                if lo <= base + k <= hi:
+                    key = (p, base + k)
+                    if key in rows:
+                        g, x = rows[key]
+                        rows[key] = (g + growth, _merge_exponents(x, exps))
+                    else:
+                        rows[key] = (growth, exps)
+    return OracleReport(lo, hi, primes, ranks, rows)
 
 
 def predicted_fingerprints(
@@ -480,24 +509,27 @@ def predicted_fingerprints(
     p^t-torsion subgroup).
     """
     primes = tuple(sorted(set(primes)))
-    graded = dict(F.graded)
-    comps = [graded.get(d, _NO_ATOMS) for d in range(lo, hi + 2)]
+    ranks: dict = {}
+    rows: dict = {}
 
-    def growth(here: ElementaryModule, above: ElementaryModule, p: int) -> int:
-        return (
-            here.free_rank
-            + sum(r for s, r in here.localized if not s.contains(p))
-            + sum(m for s, m in above.prufer if s.contains(p))
-        )
+    def add(p: int, d: int, growth: int, exps: tuple):
+        if (growth or exps) and lo <= d <= hi:
+            g, x = rows.get((p, d), _ZERO_ROW)
+            rows[(p, d)] = (g + growth, x + exps)
 
-    ranks = tuple(E.rational_rank for E in comps[:-1])
-    rows = tuple(
-        tuple(
-            (growth(here, above, p), _p_exponents(here.torsion, p))
-            for here, above in zip(comps, comps[1:])
-        )
-        for p in primes
-    )
+    # degrees ascend, so a row's torsion (from its own degree) is written
+    # before the Pruefer growth of the degree above is added to it
+    for d, E in F.graded:
+        if E.rational_rank and lo <= d <= hi:
+            ranks[d] = E.rational_rank
+        for p in primes:
+            add(
+                p,
+                d,
+                E.free_rank + sum(r for s, r in E.localized if not s.contains(p)),
+                _p_exponents(E.torsion, p),
+            )
+            add(p, d - 1, sum(m for s, m in E.prufer if s.contains(p)), ())
     return OracleReport(lo, hi, primes, ranks, rows)
 
 
@@ -525,7 +557,7 @@ class ValidationReport:
         return ValidationReport(not mism, mism)
 
 
-def check_object(F: FormalObject, W: LocFreeComplex, primes) -> ValidationReport:
+def check_object(F: FormalObject, W, primes) -> ValidationReport:
     """Exact agreement of rational ranks and p-local fingerprints between
     a claimed object and a chain model, row by row."""
     w_lo, w_hi = _window(W)
@@ -533,18 +565,16 @@ def check_object(F: FormalObject, W: LocFreeComplex, primes) -> ValidationReport
     hi = max([w_hi] + [d + 1 for d in F.degrees()])
     got = fingerprints(W, primes, lo, hi)
     want = predicted_fingerprints(F, primes, lo, hi)
-    degrees = range(lo, hi + 1)
     mism = [
-        ("rational-rank", 0, d, g, w)
-        for d, g, w in zip(degrees, got.ranks, want.ranks)
-        if g != w
+        ("rational-rank", 0, d, got.rank_at(d), want.rank_at(d))
+        for d in got.ranks.keys() | want.ranks.keys()
+        if got.rank_at(d) != want.rank_at(d)
     ]
-    for p, got_rows, want_rows in zip(got.primes, got.fingerprints, want.fingerprints):
-        mism.extend(
-            ("fingerprint", p, d, g, w)
-            for d, g, w in zip(degrees, got_rows, want_rows)
-            if g != w
-        )
+    mism.extend(
+        ("fingerprint", p, d, got.fingerprint(p, d), want.fingerprint(p, d))
+        for p, d in got.rows.keys() | want.rows.keys()
+        if got.fingerprint(p, d) != want.fingerprint(p, d)
+    )
     return ValidationReport.of(mism)
 
 
@@ -619,8 +649,7 @@ def tau_single_models(i: int, Z: ZSubset, F: FormalObject):
     above; a stalk at the cut degree splits off its module-level torsion;
     higher stalks pass through.
     """
-    lower = LocFreeComplex.zero()
-    upper = LocFreeComplex.zero()
+    lower = upper = ()
     for d, E in F.graded:
         piece = formal_object_model(FormalObject.stalk(E, d))
         if d + 1 <= i:
@@ -636,8 +665,6 @@ def tau_single_models(i: int, Z: ZSubset, F: FormalObject):
         else:
             upper = direct_sum(upper, piece)
     return lower, upper
-
-
 
 
 def _check_tau_step(i: int, Z: ZSubset, F: FormalObject, res, primes) -> ValidationReport:
@@ -712,3 +739,20 @@ def divisible_rank_detection(F: FormalObject, primes=None):
     non-finitely-generated homology."""
     W = formal_object_model(F)
     return fingerprints(W, primes or _relevant_primes(F)).divisible_signals()
+
+
+# the oracle's model and observation caches, which grow without bound
+_CACHES = (
+    cech_model,
+    rq_model_complex,
+    formal_object_model,
+    tau_single_models,
+    _integral_homology_mod,
+    _rational_ranks,
+)
+
+
+def clear_caches():
+    """Empty every oracle cache, so that a caller can scope them to one run."""
+    for cached in _CACHES:
+        cached.cache_clear()

@@ -121,6 +121,8 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 def _codim_for(spectrum, path):
     if spectrum.is_specz:
+        if path is not None:
+            raise UsageError("Spec(Z) has a fixed codimension function; drop --codim")
         return DUALIZING.codim
     if path is None:
         raise UsageError("a finite poset needs --codim values")

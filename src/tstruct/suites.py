@@ -11,7 +11,7 @@ module both run these; a fixed seed makes every run reproducible.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import cech, derived, duality, filtration as filt, spectrum as spec
 from .corpus import (
@@ -61,19 +61,38 @@ def _census_class_z():
 
 
 def _complex_pool(seed, count):
+    """``count`` distinct random free complexes, in the order first drawn."""
     rng = rng_from_seed(seed)
-    return [random_free_complex(rng) for _ in range(count)]
+    pool = {}
+    while len(pool) < count:
+        pool.setdefault(random_free_complex(rng), None)
+    return list(pool)
+
+
+def _timed(criterion):
+    """Run a criterion with empty oracle caches (so they live for one
+    suite run) and add its wall time to the report as ``seconds``."""
+
+    @wraps(criterion)
+    def run(*args, **kwargs):
+        cech.clear_caches()
+        t0 = time.perf_counter()
+        report = criterion(*args, **kwargs)
+        report["seconds"] = round(time.perf_counter() - t0, 3)
+        return report
+
+    return run
 
 
 # ---------------------------------------------------------------------------
 # acceptance criteria
 
 
+@_timed
 def criterion_classification(seed=DEFAULT_SEED) -> dict:
     """Round trip: reading a filtration back from aisle membership of its
     stalk generators reproduces it exactly, over the two-chain poset and
     over Spec(Z)."""
-    t0 = time.time()
     failures = []
     poset_census = filt.enumerate_weak_cousin(TWO_CHAIN, POSET_WINDOW)
     for f in poset_census:
@@ -100,7 +119,6 @@ def criterion_classification(seed=DEFAULT_SEED) -> dict:
         "poset_census": len(poset_census),
         "z_census": len(z_census),
         "failures": failures[:5],
-        "seconds": round(time.time() - t0, 3),
     }
 
 
@@ -109,11 +127,11 @@ def _cached_divisible_signals(F: FormalObject, primes: tuple):
     return cech.divisible_rank_detection(F, primes=primes)
 
 
+@_timed
 def criterion_cousin_necessity(seed=DEFAULT_SEED) -> dict:
     """Every census filtration violating the weak Cousin condition yields
     a truncation with non-finitely-generated vertices, and the chain
     oracle independently sees the divisible growth."""
-    t0 = time.time()
     violating = [
         f for f in _census_class_z() if not filt.weak_cousin(f).holds
     ]
@@ -134,15 +152,14 @@ def criterion_cousin_necessity(seed=DEFAULT_SEED) -> dict:
         "ok": not failures,
         "violating": len(violating),
         "failures": failures[:5],
-        "seconds": round(time.time() - t0, 3),
     }
 
 
+@_timed
 def criterion_cousin_sufficiency(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLEXES) -> dict:
     """Weak-Cousin filtrations preserve finite generation: determinate
     truncations, finitely generated vertices, and the full truncation
     contract on a seeded pool of random free complexes."""
-    t0 = time.time()
     census = _census_z()
     pool = _complex_pool(seed, n_complexes)
     objects = [from_free_complex(X) for X in pool]
@@ -171,17 +188,17 @@ def criterion_cousin_sufficiency(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMP
         "ok": not failures,
         "census": len(census),
         "complexes": len(pool),
+        "distinct": len(set(pool)),
         "pairs": checked,
         "failures": failures[:5],
-        "seconds": round(time.time() - t0, 3),
     }
 
 
+@_timed
 def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLEXES) -> dict:
     """Engine versus stable-Koszul oracle on every finite-level case of
     the necessity and sufficiency corpora: local cohomology,
     localization, one-level and composed truncations."""
-    t0 = time.time()
     census = _census_z()
     pool = _complex_pool(seed, n_complexes)
     failures = []
@@ -216,16 +233,16 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
         "ok": not failures,
         "levels": len(levels),
         "complexes": len(pool),
+        "distinct": len(set(pool)),
         "violating": len(violating),
         "failures": failures[:5],
-        "seconds": round(time.time() - t0, 3),
     }
 
 
+@_timed
 def criterion_generator_reduction(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
     """Hom-vanishing computed through the hereditary splitting agrees with
     the stalk-generator criterion on a seeded corpus of pairs."""
-    t0 = time.time()
     rng = rng_from_seed(seed + 5)
     failures = []
     for k in range(pairs):
@@ -239,14 +256,13 @@ def criterion_generator_reduction(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
         "ok": not failures,
         "pairs": pairs,
         "failures": failures[:5],
-        "seconds": round(time.time() - t0, 3),
     }
 
 
+@_timed
 def criterion_top_index(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
     """The two top-degree computations agree at the generic point and at
     (2), (3), (5) for the same seeded complex corpus."""
-    t0 = time.time()
     rng = rng_from_seed(seed + 5)
     failures = []
     for k in range(pairs):
@@ -265,15 +281,14 @@ def criterion_top_index(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
         "ok": not failures,
         "pairs": pairs,
         "failures": failures[:5],
-        "seconds": round(time.time() - t0, 3),
     }
 
 
+@_timed
 def criterion_duality(seed=DEFAULT_SEED, samples=PAIR_CORPUS) -> dict:
     """Duality toolbox: involution, recomputed codimension, two-way
     membership agreement, and internally equivalent finiteness
     predicates on a seeded corpus."""
-    t0 = time.time()
     rng = rng_from_seed(seed + 9)
     failures = []
     for p in (0, 2, 3, 5, 97):
@@ -300,15 +315,14 @@ def criterion_duality(seed=DEFAULT_SEED, samples=PAIR_CORPUS) -> dict:
         "ok": not failures,
         "samples": samples,
         "failures": failures[:5],
-        "seconds": round(time.time() - t0, 3),
     }
 
 
+@_timed
 def criterion_dual_filtration(seed=DEFAULT_SEED) -> dict:
     """The dual of the canonical filtration is the codimension filtration,
     and orthogonality transport validates the dual formula on every
     weak-Cousin census filtration."""
-    t0 = time.time()
     failures = []
     codim = duality.DUALIZING.codim
     canonical = filt.canonical_filtration(SPEC_Z)
@@ -326,15 +340,14 @@ def criterion_dual_filtration(seed=DEFAULT_SEED) -> dict:
         "ok": not failures,
         "census": len(_census_z()),
         "failures": failures[:5],
-        "seconds": round(time.time() - t0, 3),
     }
 
 
+@_timed
 def criterion_discreteness(seed=DEFAULT_SEED) -> dict:
     """Weak-Cousin filtrations stabilize to open-closed values; on a
     connected spectrum the nonconstant ones run from everything to
     nothing; constants satisfy weak Cousin exactly when open-closed."""
-    t0 = time.time()
     failures = []
     disconnected = FinPoset(["a", "b", "c"], [("a", "b")])
     censuses = [
@@ -374,7 +387,6 @@ def criterion_discreteness(seed=DEFAULT_SEED) -> dict:
         "suite": "discreteness",
         "ok": not failures,
         "failures": failures[:5],
-        "seconds": round(time.time() - t0, 3),
     }
 
 

@@ -1,9 +1,10 @@
 """Exact linear algebra over Z.
 
 Smith normal form with unimodular transforms, bounded complexes of
-finite free Z-modules, their homology in structure-theorem normal form,
-supports, and the Hom/Ext/Tor tables for elementary modules.  All
-arithmetic is exact (Python integers).
+finite free Z-modules, their homology in structure-theorem normal form
+(read off the invariant factors of the differentials, one Smith normal
+form each), supports, and the Hom/Ext/Tor tables for elementary
+modules.  All arithmetic is exact (Python integers).
 """
 
 from __future__ import annotations
@@ -584,71 +585,30 @@ def tensor(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
 # homology
 
 
-def kernel_basis(A: Matrix, ncols: int) -> Matrix:
-    """Columns spanning ker(A) inside Z^ncols (A acts on column vectors)."""
-    if not A or not A[0]:
-        return identity(ncols)
-    D, _, V = smith_normal_form(A)
-    m, n = mat_shape(A)
-    r = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
-    return [[V[i][j] for j in range(r, n)] for i in range(n)]
-
-
-def solve_columns(K: Matrix, B: Matrix) -> Matrix:
-    """Solve K @ C = B exactly (raises if some column is not in the image)."""
-    rows, k = mat_shape(K)
-    if k == 0:
-        if not is_zero_matrix(B):
-            raise ArithmeticError("inconsistent system")
-        return zeros(0, mat_shape(B)[1])
-    D, U, V = smith_normal_form(K)
-    UB = matmul(U, B)
-    ncols = mat_shape(B)[1]
-    Y = zeros(k, ncols)
-    for i in range(rows):
-        d = D[i][i] if i < k else 0
-        for j in range(ncols):
-            v = UB[i][j]
-            if i < k and d != 0:
-                if v % d:
-                    raise ArithmeticError("inconsistent system")
-                Y[i][j] = v // d
-            elif v != 0:
-                raise ArithmeticError("inconsistent system")
-    return matmul(V, Y)
-
-
 def homology(X: FreeComplex) -> dict[int, FgZModule]:
     """Degreewise homology ker d / im d in normal form.
+
+    One Smith normal form per differential fixes every degree: H^d is
+    free of rank ``n_d - rk d_d - rk d_{d-1}`` plus one ``Z/s`` per
+    non-unit invariant factor ``s`` of ``d_{d-1}``.  The torsion of the
+    cokernel of ``d_{d-1}`` lies in ``ker d_d``, because ``ker d_d`` is
+    saturated (its quotient embeds in the free target of ``d_d``).
 
     >>> H = homology(FreeComplex.koszul([2]))
     >>> str(H.get(0, FgZModule.zero())), str(H.get(-1, FgZModule.zero()))
     ('Z/2', '0')
     """
+    # nonzero invariant factors of the differential leaving each degree
+    factors = {
+        d: [f for f in snf_invariants(X.diff_at(d)) if f] for d in X.degrees()[:-1]
+    }
     out: dict[int, FgZModule] = {}
     for d in X.degrees():
-        n = X.rank_at(d)
-        if n == 0:
-            continue
-        A = X.diff_at(d)
-        B = X.diff_at(d - 1)
-        K = kernel_basis(A, n)
-        kdim = mat_shape(K)[1]
-        if kdim == 0:
-            continue
-        if X.rank_at(d - 1):
-            C = solve_columns(K, B)
-            facs = snf_invariants(C)
-        else:
-            facs = []
-        rank = kdim - sum(1 for f in facs if f != 0)
-        tors = []
-        for f in facs:
-            if f not in (0, 1):
-                tors.extend((p, e, 1) for p, e in factorint(f).items())
-        H = FgZModule(rank, tuple(tors))
-        if not H.is_zero:
-            out[d] = H
+        into = factors.get(d - 1, ())
+        rank = X.rank_at(d) - len(factors.get(d, ())) - len(into)
+        tors = [(p, e, 1) for f in into if f != 1 for p, e in factorint(f).items()]
+        if rank or tors:
+            out[d] = FgZModule(rank, tuple(tors))
     return out
 
 

@@ -44,13 +44,14 @@ def test_criterion_2_weak_cousin_necessity():
 
 def test_criterion_3_weak_cousin_sufficiency():
     report = _run("weak-cousin-sufficiency")
-    assert report["complexes"] >= 500
+    assert report["distinct"] == report["complexes"] >= 500
     assert report["pairs"] == report["census"] * report["complexes"]
 
 
 def test_criterion_4_engine_oracle_agreement():
     report = _run("engine-oracle-agreement")
-    assert report["complexes"] >= 500 and report["violating"] > 0
+    assert report["distinct"] == report["complexes"] >= 500
+    assert report["violating"] > 0
 
 
 def test_criterion_5_generator_reduction():

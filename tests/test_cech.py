@@ -12,18 +12,19 @@ from tstruct.cech import (
     formal_object_model,
     predicted_fingerprints,
     rq_model_complex,
+    tau_single_models,
     tensor,
     validate_rgamma,
     validate_rq,
     validate_tau_filtration,
     validate_tau_single,
 )
-from tstruct.corpus import random_formal_object, rng_from_seed
+from tstruct.corpus import random_formal_object, random_subset_z, rng_from_seed
 from tstruct.derived import FormalObject, from_free_complex, rgamma
 from tstruct.elementary import ElementaryModule as EM
 from tstruct.filtration import canonical_filtration, constant_filtration, from_values
 from tstruct.spectrum import SPEC_Z, ZSubset
-from tstruct.zmodules import FreeComplex
+from tstruct.zmodules import FreeComplex, zeros
 
 W = ZSubset.whole()
 E = ZSubset.empty()
@@ -255,3 +256,69 @@ def test_fingerprint_rejects_single_atom_mutations(seed):
     for G in mutants:
         assert G != F
         assert not check_object(G, model, _primes(F)).ok
+
+
+# -- block-by-block observation against the dense assembly --------------------
+
+
+def _dense_sum(A, B):
+    """The block-diagonal sum of two blocks as one block."""
+    if A.is_zero:
+        return B
+    if B.is_zero:
+        return A
+    lo = min(A.min_degree, B.min_degree)
+    hi = max(A.max_degree, B.max_degree)
+    labels = [A.labels_at(d) + B.labels_at(d) for d in range(lo, hi + 1)]
+    diffs = []
+    for d in range(lo, hi):
+        la, ta = len(A.labels_at(d)), len(A.labels_at(d + 1))
+        MA, MB = A.diff_at(d), B.diff_at(d)
+        M = zeros(ta + len(B.labels_at(d + 1)), la + len(B.labels_at(d)))
+        for i, row in enumerate(MA):
+            M[i][: len(row)] = row
+        for i, row in enumerate(MB):
+            M[ta + i][la : la + len(row)] = row
+        diffs.append(M)
+    return LocFreeComplex(lo, tuple(labels), tuple(diffs))
+
+
+def _dense(model):
+    out = LocFreeComplex.zero()
+    for block in model:
+        out = _dense_sum(out, block)
+    return out
+
+
+def _assert_blockwise_equals_dense(model, primes):
+    dense = _dense(model)
+    got, want = fingerprints(model, primes), fingerprints(dense, primes)
+    assert got == want
+    assert got.divisible_signals() == want.divisible_signals()
+    lo, hi = want.lo + 1, want.hi - 1  # a narrower window cuts both alike
+    assert fingerprints(model, primes, lo, hi) == fingerprints(dense, primes, lo, hi)
+
+
+def test_equal_blocks_in_two_degrees():
+    # two blocks of one shape (Z --4--> Z) in degrees -1..0 and 2..3:
+    # each block's rows land in its own degree
+    F = FormalObject(((0, EM.cyclic_torsion(2, 2)), (3, EM.cyclic_torsion(2, 2))))
+    model = formal_object_model(F)
+    assert len(model) == 2 and model[0].labels == model[1].labels
+    assert model[0].diffs == model[1].diffs
+    _assert_blockwise_equals_dense(model, (2, 3))
+    rep = fingerprints(model, (2,))
+    assert rep.rows == {(2, 0): (0, ((2, 1),)), (2, 3): (0, ((2, 1),))}
+    assert check_object(F, model, (2,)).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-4, 4))
+def test_blockwise_observation_matches_dense_assembly(seed, i):
+    rng = rng_from_seed(seed)
+    F = random_formal_object(rng)
+    Z = random_subset_z(rng)
+    primes = tuple(sorted(set(_primes(F)) | set(Z.primes)))
+    lower, upper = tau_single_models(i, Z, F)
+    for model in (formal_object_model(F), lower, upper):
+        _assert_blockwise_equals_dense(model, primes)

@@ -160,6 +160,28 @@ def test_malformed_payload_is_usage_error(files, payload, argv):
     assert proc.stderr.startswith("error: bad ")
 
 
+SPEC_Z_CANONICAL = {
+    "spectrum": {"ring": "Z"},
+    "tail": {"kind": "whole"},
+    "window": {"start": 1, "end": 0},
+    "levels": [],
+    "head": {"kind": "finite", "primes": []},
+}
+
+
+@pytest.mark.parametrize("argv", [("cm",), ("dual", "-f", "F")], ids=["cm", "dual"])
+def test_codim_rejected_for_spec_z(files, capsys, tmp_path, argv):
+    # Spec(Z) carries its own codimension function; a --codim file is
+    # refused whether or not it exists or parses
+    f = files("f.json", SPEC_Z_CANONICAL)
+    argv = [f if a == "F" else a for a in argv]
+    for codim in (files("codim.json", 5), str(tmp_path / "missing.json")):
+        assert main([*argv, "--codim", codim]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--codim" in captured.err
+
+
 def test_bigint_roundtrip():
     blob = dumps({"n": 2**80}, schema=False)
     assert json.loads(blob)["n"] == str(2**80)

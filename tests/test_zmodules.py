@@ -3,9 +3,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tstruct.corpus import random_formal_object, rng_from_seed
+from tstruct.corpus import random_formal_object, random_free_complex, rng_from_seed
 from tstruct.elementary import ElementaryModule
-from tstruct.spectrum import ZSubset
+from tstruct.spectrum import ZSubset, factorint
 from tstruct.zmodules import (
     FgZModule,
     FreeComplex,
@@ -15,6 +15,9 @@ from tstruct.zmodules import (
     hom_ext_tables,
     hom_ext_vanish,
     homology,
+    identity,
+    is_zero_matrix,
+    mat_shape,
     matmul,
     smith_normal_form,
     snf_invariants,
@@ -22,6 +25,7 @@ from tstruct.zmodules import (
     tensor,
     top_indices,
     tor,
+    zeros,
 )
 
 
@@ -40,6 +44,65 @@ def brute_hom_ext_cyclic(a: int, b: int):
 def brute_tor1_cyclic(a: int, b: int) -> int:
     # Tor_1(Z/a, Z/b) = ker(a on Z/b)
     return sum(1 for x in range(b) if (a * x) % b == 0)
+
+
+def kernel_basis(A, ncols):
+    """Columns spanning ker(A) inside Z^ncols: the last columns of V."""
+    if not A or not A[0]:
+        return identity(ncols)
+    D, _, V = smith_normal_form(A)
+    m, n = mat_shape(A)
+    r = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
+    return [[V[i][j] for j in range(r, n)] for i in range(n)]
+
+
+def solve_columns(K, B):
+    """Solve K @ C = B exactly (raises if some column is not in the image)."""
+    rows, k = mat_shape(K)
+    if k == 0:
+        if not is_zero_matrix(B):
+            raise ArithmeticError("inconsistent system")
+        return zeros(0, mat_shape(B)[1])
+    D, U, V = smith_normal_form(K)
+    UB = matmul(U, B)
+    ncols = mat_shape(B)[1]
+    Y = zeros(k, ncols)
+    for i in range(rows):
+        d = D[i][i] if i < k else 0
+        for j in range(ncols):
+            v = UB[i][j]
+            if i < k and d != 0:
+                if v % d:
+                    raise ArithmeticError("inconsistent system")
+                Y[i][j] = v // d
+            elif v != 0:
+                raise ArithmeticError("inconsistent system")
+    return matmul(V, Y)
+
+
+def reference_homology(X: FreeComplex) -> dict:
+    """ker d_d / im d_{d-1} the long way: a kernel basis K, the incoming
+    differential written in K's coordinates, and the Smith normal form
+    of that presentation."""
+    out = {}
+    for d in X.degrees():
+        n = X.rank_at(d)
+        if n == 0:
+            continue
+        K = kernel_basis(X.diff_at(d), n)
+        kdim = mat_shape(K)[1]
+        if kdim == 0:
+            continue
+        facs = []
+        if X.rank_at(d - 1):
+            C = solve_columns(K, X.diff_at(d - 1))
+            D, _, _ = smith_normal_form(C)
+            facs = [D[i][i] for i in range(min(mat_shape(D)))]
+        tors = [(p, e, 1) for f in facs if f > 1 for p, e in factorint(f).items()]
+        H = FgZModule(kdim - sum(1 for f in facs if f), tuple(tors))
+        if not H.is_zero:
+            out[d] = H
+    return out
 
 
 def order(M: FgZModule) -> int:
@@ -82,6 +145,7 @@ def test_snf_properties(m, n, data):
         for j in range(n):
             if i != j:
                 assert D[i][j] == 0
+    assert snf_invariants(M) == diag
 
 
 def test_snf_big_entries_stay_exact():
@@ -137,6 +201,26 @@ def test_homology_vs_brute_force_kernel_image():
     assert H[0] == FgZModule.free(1)
     # right: coker of [[0,0],[0,3]] restricted to kernel of 0: Z + Z/3
     assert H[2] == FgZModule(1, ((3, 1, 1),))
+
+
+seeded_complexes = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_free_complex(rng_from_seed(seed))
+)
+small_complexes = st.one_of(
+    seeded_complexes,
+    st.builds(FreeComplex.stalk_free, st.integers(0, 3), st.integers(-3, 3)),
+    st.builds(FreeComplex.cyclic_resolution, st.integers(-12, 12), st.integers(-3, 3)),
+    st.just(FreeComplex.zero()),
+)
+
+
+@given(small_complexes, small_complexes, st.integers(-2, 2))
+@settings(max_examples=200, deadline=None)
+def test_homology_matches_kernel_image_reference(A, B, k):
+    # invariant factors of the differentials against kernel, solve and
+    # Smith normal form, on sums and odd and even translates
+    for X in (A, A.shift(k), direct_sum(A, B), direct_sum(A.shift(2 * k + 1), B)):
+        assert homology(X) == reference_homology(X), X
 
 
 def test_dd_zero_enforced():

@@ -27,6 +27,19 @@ observed once, by a cache keyed by its labels and differentials (not
 its start degree, since re-indexing a complex re-indexes its homology),
 and a model's report adds its blocks' rows.
 
+Each distinct chain-level piece is built once per suite run and placed
+where it is needed by a degree shift, which keeps its labels and
+differentials:
+
+* integral homology runs once per distinct p-reduction K_p, however
+  many blocks and primes share it, and each prime reads its p-part;
+* a tensor of two blocks is built once per shape, with the left factor
+  in the degree of its parity (the Koszul signs read nothing else);
+* truncation models are built stalk by stalk, once per stalk module,
+  level, side of the cut and parity of the stalk's degree.
+
+Every distinct block still passes the label-containment and d∘d checks.
+
 An engine answer (a formal object) is checked by predicting the same
 fingerprints in closed form and demanding exact agreement.  Reports
 keep only nonzero rows, and a check compares the union of their keys.
@@ -139,6 +152,17 @@ class LocFreeComplex:
     def is_zero(self) -> bool:
         return all(not row for row in self.labels)
 
+    def _at(self, d: int) -> "LocFreeComplex":
+        """The same block starting in degree d.  Its labels and
+        differentials, all that validation reads, are reused unchecked."""
+        if d == self.min_degree or self.is_zero:
+            return self
+        placed = object.__new__(LocFreeComplex)
+        object.__setattr__(placed, "min_degree", d)
+        object.__setattr__(placed, "labels", self.labels)
+        object.__setattr__(placed, "diffs", self.diffs)
+        return placed
+
     @staticmethod
     def zero() -> "LocFreeComplex":
         return LocFreeComplex(0, (), ())
@@ -152,7 +176,7 @@ class LocFreeComplex:
     def from_free_complex(X: FreeComplex) -> "LocFreeComplex":
         return LocFreeComplex(
             X.min_degree,
-            tuple(tuple(frozenset() for _ in range(r)) for r in X.ranks),
+            tuple((frozenset(),) * r for r in X.ranks),
             X.diffs,
         )
 
@@ -162,11 +186,6 @@ def _blocks(W) -> tuple:
     if isinstance(W, LocFreeComplex):
         return () if W.is_zero else (W,)
     return W
-
-
-def direct_sum(A, B) -> tuple:
-    """The blocks of both sides, side by side."""
-    return _blocks(A) + _blocks(B)
 
 
 def tensor(A, B):
@@ -181,8 +200,18 @@ def tensor(A, B):
 
 
 def _tensor_blocks(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
+    """The product of two blocks, built once per shape: the Koszul signs
+    read only the parity of A's degrees, so the product of A placed at
+    that parity and B placed at 0 is placed at the sum of the start
+    degrees."""
     if A.is_zero or B.is_zero:
         return LocFreeComplex.zero()
+    product = _tensor_product(A._at(A.min_degree % 2), B._at(0))
+    return product._at(A.min_degree + B.min_degree)
+
+
+@lru_cache(maxsize=None)
+def _tensor_product(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
     lo = A.min_degree + B.min_degree
     hi = A.max_degree + B.max_degree
 
@@ -196,7 +225,9 @@ def _tensor_blocks(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
                 offs[(i, j)] = len(labels)
                 for x in la:
                     for y in lb:
-                        labels.append(x | y)
+                        # equal labels share one frozenset: an operand that
+                        # already is the union is reused
+                        labels.append(x if y <= x else y if x <= y else x | y)
         return offs, labels
 
     layouts = [layout(d) for d in range(lo, hi + 1)]
@@ -398,12 +429,12 @@ class OracleReport:
         )
 
 
-def _mod_p_reduction(labels: tuple, diffs: tuple, p: int) -> FreeComplex:
-    """Drop the p-divisible summands of a block and integerize: reductions
-    mod p^t of the result and of the block agree for every t."""
+def _mod_p_reduction(labels: tuple, diffs: tuple, p: int) -> tuple:
+    """The ranks and differentials of K_p: drop the p-divisible summands
+    of a block and integerize.  Reductions mod p^t of K_p and of the
+    block agree for every t."""
     keep = [[j for j, lab in enumerate(row) if p not in lab] for row in labels]
-    return FreeComplex(
-        0,
+    return (
         tuple(len(k) for k in keep),
         tuple(
             tuple(tuple(M[i][j] for j in keep[k]) for i in keep[k + 1])
@@ -416,9 +447,21 @@ def _mod_p_reduction(labels: tuple, diffs: tuple, p: int) -> FreeComplex:
 def _integral_homology_mod(labels: tuple, diffs: tuple, p: int) -> tuple:
     """The nonzero p-local rows ``((k, growth, exponents), ...)`` of one
     block, k counted from the block's lowest degree."""
-    H = homology(_mod_p_reduction(labels, diffs, p))
-    rows = ((k, M.rank, _p_exponents(M.torsion, p)) for k, M in H.items())
+    rows = (
+        (k, rank, _p_exponents(torsion, p))
+        for k, rank, torsion in _reduced_homology(*_mod_p_reduction(labels, diffs, p))
+    )
     return tuple(row for row in rows if row[1] or row[2])
+
+
+@lru_cache(maxsize=None)
+def _reduced_homology(ranks: tuple, diffs: tuple) -> tuple:
+    """The integral homology ``((k, rank, torsion), ...)`` of a
+    p-reduction, computed once however many blocks and primes share it."""
+    return tuple(
+        (k, M.rank, M.torsion)
+        for k, M in homology(FreeComplex(0, ranks, diffs)).items()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -559,11 +602,14 @@ class ValidationReport:
 
 def check_object(F: FormalObject, W, primes) -> ValidationReport:
     """Exact agreement of rational ranks and p-local fingerprints between
-    a claimed object and a chain model, row by row."""
-    w_lo, w_hi = _window(W)
-    lo = min([w_lo] + [d - 1 for d in F.degrees()])
-    hi = max([w_hi] + [d + 1 for d in F.degrees()])
-    got = fingerprints(W, primes, lo, hi)
+    a claimed object and a chain model, row by row.
+
+    Neither side is narrowed: the model's default window holds every
+    row of its blocks, and a claim's rows lie in ``[min F - 1, max F]``
+    (its degrees ascend).
+    """
+    got = fingerprints(W, primes)
+    lo, hi = (F.graded[0][0] - 1, F.graded[-1][0]) if F.graded else (-1, 0)
     want = predicted_fingerprints(F, primes, lo, hi)
     mism = [
         ("rational-rank", 0, d, got.rank_at(d), want.rank_at(d))
@@ -640,31 +686,38 @@ def _quotient_module(Z: ZSubset, E: ElementaryModule) -> ElementaryModule:
     return out
 
 
-@lru_cache(maxsize=None)
 def tau_single_models(i: int, Z: ZSubset, F: FormalObject):
     """Chain models of the two vertices of the one-level truncation.
 
     Works stalk by stalk on a split model of F: a fully absorbed stalk
     contributes its stable Koszul tensor below and its localization cone
     above; a stalk at the cut degree splits off its module-level torsion;
-    higher stalks pass through.
+    higher stalks pass through.  Each stalk's blocks are built once, in
+    the degree of its parity, and placed by an even shift.
     """
     lower = upper = ()
     for d, E in F.graded:
-        piece = formal_object_model(FormalObject.stalk(E, d))
-        if d + 1 <= i:
-            lower = direct_sum(lower, tensor(piece, cech_model(Z)))
-            upper = direct_sum(upper, tensor(piece, rq_model_complex(Z)))
-        elif d <= i:
-            lower = direct_sum(
-                lower, formal_object_model(FormalObject.stalk(_gamma_module(Z, E), d))
-            )
-            upper = direct_sum(
-                upper, formal_object_model(FormalObject.stalk(_quotient_module(Z, E), d))
-            )
-        else:
-            upper = direct_sum(upper, piece)
+        parity = d % 2
+        low, up = _tau_stalk_models(E, Z, (d > i) - (d < i), parity)
+        shift = d - parity
+        lower += tuple(B._at(B.min_degree + shift) for B in low)
+        upper += tuple(B._at(B.min_degree + shift) for B in up)
     return lower, upper
+
+
+@lru_cache(maxsize=None)
+def _tau_stalk_models(E: ElementaryModule, Z: ZSubset, side: int, d: int):
+    """The lower and upper blocks of the stalk E in degree d, which lies
+    below (``side`` -1), at (0) or above (1) the cut."""
+    if side == 0:
+        return (
+            formal_object_model(FormalObject.stalk(_gamma_module(Z, E), d)),
+            formal_object_model(FormalObject.stalk(_quotient_module(Z, E), d)),
+        )
+    piece = formal_object_model(FormalObject.stalk(E, d))
+    if side < 0:
+        return tensor(piece, cech_model(Z)), tensor(piece, rq_model_complex(Z))
+    return (), piece
 
 
 def _check_tau_step(i: int, Z: ZSubset, F: FormalObject, res, primes) -> ValidationReport:
@@ -746,8 +799,10 @@ _CACHES = (
     cech_model,
     rq_model_complex,
     formal_object_model,
-    tau_single_models,
+    _tau_stalk_models,
+    _tensor_product,
     _integral_homology_mod,
+    _reduced_homology,
     _rational_ranks,
 )
 

@@ -30,6 +30,7 @@ from typing import Optional
 
 from .elementary import ElementaryModule
 from .filtration import SpFiltration, canonical_filtration, from_values
+from .jsonio import integer
 from .spectrum import GENERIC, SPEC_Z, SpecZPoint, ZSubset, next_prime, zpoint
 from .zmodules import FgZModule, FreeComplex, homology, hom_ext_tables, hom_ext_vanish
 
@@ -163,7 +164,10 @@ class FormalObject:
     @staticmethod
     def from_json(obj: dict) -> "FormalObject":
         return FormalObject(
-            tuple((d, ElementaryModule.from_json(e)) for d, e in obj.get("graded", ()))
+            tuple(
+                (integer(d, "degree"), ElementaryModule.from_json(e))
+                for d, e in obj.get("graded", ())
+            )
         )
 
 

@@ -92,7 +92,7 @@ def dualize(X: FormalObject) -> FormalObject:
 # Cohen-Macaulay membership, two ways
 
 
-def cm_membership(X: FormalObject, window=( -6, 6)) -> bool:
+def cm_membership(X: FormalObject) -> bool:
     """Membership in the dual image of the canonical aisle.
 
     Route one: no maps from any nonnegative shift of X into the
@@ -114,14 +114,13 @@ def cm_membership(X: FormalObject, window=( -6, 6)) -> bool:
     X.require_determinate("membership")
     if not X.is_fg:
         raise ValueError("membership route needs finitely generated homology")
-    lo, hi = window
     # Hom(X[i], Z[0]) decomposes over stalks: the component in degree d
     # contributes Hom(M_d, Z) at i = d and Ext^1(M_d, Z) at i = d - 1.
     way1 = True
     for d, E in X.graded:
-        if E.free_rank and 0 <= d <= hi:
+        if E.free_rank and d >= 0:
             way1 = False
-        if E.torsion and 0 <= d - 1 <= hi:
+        if E.torsion and d >= 1:
             way1 = False
     way2 = in_aisle(cm_filtration(DUALIZING.codim), X)
     if way1 != way2:

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from .jsonio import integer
 from .spectrum import (
     CodimFn,
     FinPoset,
@@ -173,7 +174,7 @@ class SpFiltration:
         return SpFiltration(
             spectrum,
             subset_from_json(obj["tail"], spectrum),
-            obj["window"]["start"],
+            integer(obj["window"]["start"], "window start"),
             tuple(subset_from_json(s, spectrum) for s in obj.get("levels", ())),
             subset_from_json(obj["head"], spectrum),
         )

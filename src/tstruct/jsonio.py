@@ -39,6 +39,13 @@ def _decode(value):
     return value
 
 
+def integer(value, what: str) -> int:
+    """``value`` if it is an integer (a ``bool`` is not), else TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def dumps(payload: dict, schema: bool = True) -> str:
     """Deterministic serialization: same payload, same bytes.
 

@@ -18,6 +18,7 @@ maximal ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 
@@ -193,8 +194,18 @@ class SpecZPoint:
 
 
 def zpoint(p) -> SpecZPoint:
+    """The point named by p.  A point is returned as it is; the points
+    named otherwise are cached, so a prime is tested once (a refusal is
+    not cached and is raised on every call)."""
     if isinstance(p, SpecZPoint):
         return p
+    return _named_point(p)
+
+
+@lru_cache(maxsize=256)
+def _named_point(p) -> SpecZPoint:
+    # a point keys the cache by its dataclass hash, slower than the
+    # isinstance test in zpoint
     return SpecZPoint(int(p))
 
 
@@ -319,10 +330,11 @@ class FinPoset:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FinPoset":
-        return cls(
-            [entry["id"] for entry in obj["points"]],
-            [tuple(c) for c in obj.get("covers", ())],
-        )
+        points = [entry["id"] for entry in obj["points"]]
+        for p in points:
+            if not isinstance(p, str):
+                raise TypeError(f"point id must be a string, got {p!r}")
+        return cls(points, [tuple(c) for c in obj.get("covers", ())])
 
 
 class SpecZ:

@@ -76,6 +76,7 @@ def _timed(criterion):
     @wraps(criterion)
     def run(*args, **kwargs):
         cech.clear_caches()
+        _cached_divisible_signals.cache_clear()
         t0 = time.perf_counter()
         report = criterion(*args, **kwargs)
         report["seconds"] = round(time.perf_counter() - t0, 3)

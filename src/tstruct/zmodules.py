@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .elementary import ElementaryModule
+from .jsonio import integer
 from .spectrum import ZSubset, factorint
 
 Matrix = list  # list of rows, each a list of ints; shape (rows, cols)
@@ -399,7 +400,7 @@ class FreeComplex:
         )
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "diffs", diffs)
-        if ranks and len(diffs) != len(ranks) - 1:
+        if len(diffs) != max(len(ranks) - 1, 0):
             raise ValueError("need exactly one differential between consecutive terms")
         for k, M in enumerate(diffs):
             rows = len(M)
@@ -490,7 +491,7 @@ class FreeComplex:
     @staticmethod
     def from_json(obj: dict) -> "FreeComplex":
         return FreeComplex(
-            obj.get("minDeg", 0),
+            integer(obj.get("minDeg", 0), "minDeg"),
             tuple(obj.get("ranks", ())),
             tuple(tuple(tuple(row) for row in M) for M in obj.get("diffs", ())),
         )

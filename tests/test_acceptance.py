@@ -42,6 +42,20 @@ def test_criterion_2_weak_cousin_necessity():
     assert report["violating"] > 0
 
 
+def test_divisible_signal_cache_lives_for_one_criterion():
+    suites.criterion_cousin_necessity(suites.DEFAULT_SEED)
+    assert suites._cached_divisible_signals.cache_info().currsize > 0
+    seen = []
+
+    @suites._timed
+    def next_criterion():
+        seen.append(suites._cached_divisible_signals.cache_info().currsize)
+        return {}
+
+    next_criterion()
+    assert seen == [0]
+
+
 def test_criterion_3_weak_cousin_sufficiency():
     report = _run("weak-cousin-sufficiency")
     assert report["distinct"] == report["complexes"] >= 500

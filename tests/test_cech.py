@@ -1,11 +1,18 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from functools import lru_cache
+
 from tstruct.cech import (
     LocFreeComplex,
     OracleScopeError,
+    _gamma_module,
+    _integral_homology_mod,
+    _quotient_module,
+    _tensor_blocks,
     cech_model,
     check_object,
+    clear_caches,
     cone_of_augmentation,
     divisible_rank_detection,
     fingerprints,
@@ -19,12 +26,25 @@ from tstruct.cech import (
     validate_tau_filtration,
     validate_tau_single,
 )
-from tstruct.corpus import random_formal_object, random_subset_z, rng_from_seed
+from tstruct.corpus import (
+    DEFAULT_PRIMES,
+    random_formal_object,
+    random_free_complex,
+    random_subset_z,
+    rng_from_seed,
+)
 from tstruct.derived import FormalObject, from_free_complex, rgamma
 from tstruct.elementary import ElementaryModule as EM
-from tstruct.filtration import canonical_filtration, constant_filtration, from_values
+from tstruct.filtration import (
+    canonical_filtration,
+    constant_filtration,
+    enumerate_census_class,
+    from_values,
+    weak_cousin,
+)
 from tstruct.spectrum import SPEC_Z, ZSubset
-from tstruct.zmodules import FreeComplex, zeros
+from tstruct.suites import Z_WINDOW
+from tstruct.zmodules import FreeComplex, homology, zeros
 
 W = ZSubset.whole()
 E = ZSubset.empty()
@@ -322,3 +342,171 @@ def test_blockwise_observation_matches_dense_assembly(seed, i):
     lower, upper = tau_single_models(i, Z, F)
     for model in (formal_object_model(F), lower, upper):
         _assert_blockwise_equals_dense(model, primes)
+
+
+# -- cached constructions against the uncached ones ---------------------------
+#
+# The references below build every block afresh, at its own degrees:
+# the Koszul product, the stalk-by-stalk truncation models and the
+# homology of each p-reduction.  The oracle builds each distinct shape
+# once and places it by a shift, so the two must agree block for block.
+
+
+def _koszul_reference(A, B):
+    """The Koszul-sign tensor of two blocks, built at their own degrees."""
+    lo, hi = A.min_degree + B.min_degree, A.max_degree + B.max_degree
+
+    def layout(d):
+        labels, offs = [], {}
+        for i in A.degrees():
+            la, lb = A.labels_at(i), B.labels_at(d - i)
+            if la and lb:
+                offs[(i, d - i)] = len(labels)
+                labels += [x | y for x in la for y in lb]
+        return offs, labels
+
+    layouts = [layout(d) for d in range(lo, hi + 1)]
+    diffs = []
+    for d in range(lo, hi):
+        (offs_s, lab_s), (offs_t, lab_t) = layouts[d - lo], layouts[d + 1 - lo]
+        M = zeros(len(lab_t), len(lab_s))
+        for (i, j), base_s in offs_s.items():
+            ra, rb = len(A.labels_at(i)), len(B.labels_at(j))
+            if (i + 1, j) in offs_t:
+                base_t, DA = offs_t[(i + 1, j)], A.diff_at(i)
+                for a in range(len(A.labels_at(i + 1))):
+                    for b in range(ra):
+                        for c in range(rb):
+                            M[base_t + a * rb + c][base_s + b * rb + c] += DA[a][b]
+            if (i, j + 1) in offs_t:
+                base_t, DB = offs_t[(i, j + 1)], B.diff_at(j)
+                sgn, tb = (-1 if i % 2 else 1), len(B.labels_at(j + 1))
+                for b in range(ra):
+                    for a in range(tb):
+                        for c in range(rb):
+                            M[base_t + b * tb + a][base_s + b * rb + c] += sgn * DB[a][c]
+        diffs.append(M)
+    return LocFreeComplex(lo, tuple(tuple(lab) for _, lab in layouts), tuple(diffs))
+
+
+def _tensor_reference(model, C):
+    return () if C.is_zero else tuple(_koszul_reference(a, C) for a in model)
+
+
+def _tau_models_reference(i, Z, F):
+    lower = upper = ()
+    for d, E in F.graded:
+        piece = formal_object_model(FormalObject.stalk(E, d))
+        if d + 1 <= i:
+            lower += _tensor_reference(piece, cech_model(Z))
+            upper += _tensor_reference(piece, rq_model_complex(Z))
+        elif d <= i:
+            lower += formal_object_model(FormalObject.stalk(_gamma_module(Z, E), d))
+            upper += formal_object_model(FormalObject.stalk(_quotient_module(Z, E), d))
+        else:
+            upper += piece
+    return lower, upper
+
+
+def _p_rows_reference(B, p):
+    keep = [[j for j, lab in enumerate(row) if p not in lab] for row in B.labels]
+    K = FreeComplex(
+        0,
+        tuple(len(k) for k in keep),
+        tuple(
+            tuple(tuple(M[i][j] for j in keep[k]) for i in keep[k + 1])
+            for k, M in enumerate(B.diffs)
+        ),
+    )
+    rows = (
+        (k, M.rank, tuple((e, m) for q, e, m in M.torsion if q == p))
+        for k, M in homology(K).items()
+    )
+    return tuple(row for row in rows if row[1] or row[2])
+
+
+def _entries(model):
+    return [(B.min_degree, B.labels, B.diffs) for B in model]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-4, 4))
+def test_tau_single_models_match_stalkwise_reference(seed, i):
+    clear_caches()
+    rng = rng_from_seed(seed)
+    F = random_formal_object(rng)
+    Z = random_subset_z(rng)
+    for cut in (i, i + 1):  # the second call reuses the first one's stalks
+        got, want = tau_single_models(cut, Z, F), _tau_models_reference(cut, Z, F)
+        assert _entries(got[0]) == _entries(want[0])
+        assert _entries(got[1]) == _entries(want[1])
+
+
+def _some_blocks(rng):
+    F = random_formal_object(rng)
+    X = LocFreeComplex.from_free_complex(random_free_complex(rng))
+    return list(formal_object_model(F)) + [X]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-3, 3))
+def test_placed_tensor_matches_koszul_product(seed, shift):
+    clear_caches()
+    rng = rng_from_seed(seed)
+    Z = random_subset_z(rng)
+    lefts = _some_blocks(rng)
+    rights = [cech_model(Z), rq_model_complex(Z), lefts[0], lefts[-1]]
+    for A in lefts:
+        # the same shape in a degree of each parity, B in two degrees
+        for A2 in (A, LocFreeComplex(A.min_degree + shift, A.labels, A.diffs)):
+            for B in rights:
+                for B2 in (B, LocFreeComplex(B.min_degree - 1, B.labels, B.diffs)):
+                    if A2.is_zero or B2.is_zero:
+                        continue
+                    got = _tensor_blocks(A2, B2)
+                    assert _entries([got]) == _entries([_koszul_reference(A2, B2)])
+                    assert tensor(A2, B2) == got
+    model = tuple(lefts)
+    assert _entries(tensor(model, rights[0])) == _entries(_tensor_reference(model, rights[0]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_homology_per_reduction_matches_reference(seed):
+    clear_caches()
+    rng = rng_from_seed(seed)
+    F = random_formal_object(rng)
+    Z = random_subset_z(rng)
+    lower, upper = tau_single_models(0, Z, F)
+    for B in formal_object_model(F) + lower + upper:
+        for p in DEFAULT_PRIMES + (7,):
+            assert _integral_homology_mod(B.labels, B.diffs, p) == _p_rows_reference(B, p)
+
+
+# -- engine against oracle on non-f.g. inputs ---------------------------------
+
+
+@lru_cache(maxsize=1)
+def _census_class():
+    return tuple(
+        enumerate_census_class(SPEC_Z, Z_WINDOW, universe=DEFAULT_PRIMES, cap=10**7)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_engine_agrees_with_oracle_on_census_class(seed, data):
+    # Cousin violators make up most of the class; their truncations of
+    # f.g. input already leave finite generation
+    f = data.draw(st.sampled_from(_census_class()))
+    F = random_formal_object(rng_from_seed(seed))
+    assert validate_tau_filtration(f, F).ok
+
+
+def test_census_class_holds_violators_and_non_fg_inputs():
+    klass = _census_class()
+    assert any(weak_cousin(f).holds for f in klass)
+    assert any(not weak_cousin(f).holds for f in klass)
+    objects = [random_formal_object(rng_from_seed(s)) for s in range(40)]
+    atoms = [E for F in objects for _, E in F.graded]
+    assert any(E.localized for E in atoms) and any(E.prufer for E in atoms)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tstruct.cli import main
 from tstruct.jsonio import dumps, loads
@@ -144,16 +145,26 @@ def run_process(*argv):
     [
         ({}, ("census", "--spectrum", "{}", "--window", "0..1")),
         (5, ("census", "--spectrum", "{}", "--window", "0..1")),
+        ({"points": [{"id": None}, {"id": "m"}]}, ("census", "--spectrum", "{}", "--window", "0..1")),
         (5, ("kashiwara", "--lemma", "1", "-z", "{}", "-x", "X", "-n", "0")),
         (5, ("cm", "--spectrum", "two-chain", "--codim", "{}")),
+        ({"graded": [["x", {"free": 1}]]}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"graded": [[0.5, {"free": 1}]]}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"graded": [[True, {"free": 1}]]}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"ranks": [], "diffs": [[[1]]]}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"minDeg": 0.5, "ranks": [1], "diffs": []}, ("cm-check", "-x", "{}")),
+        ({**REPEATED_LEVEL, "window": {"start": None}}, ("check-cousin", "-f", "{}")),
     ],
-    ids=["census-spectrum-empty", "census-spectrum-int", "kashiwara-subset-int",
-         "cm-codim-int"],
+    ids=["census-spectrum-empty", "census-spectrum-int", "census-spectrum-null-id",
+         "kashiwara-subset-int", "cm-codim-int", "graded-degree-str",
+         "graded-degree-float", "graded-degree-bool", "complex-diffs-without-ranks",
+         "complex-min-degree-float", "filtration-start-null"],
 )
 def test_malformed_payload_is_usage_error(files, payload, argv):
     bad = files("bad.json", payload)
     x = files("x.json", Z_STALK)
-    argv = [bad if a == "{}" else x if a == "X" else a for a in argv]
+    f = files("f.json", REPEATED_LEVEL)
+    argv = [bad if a == "{}" else x if a == "X" else f if a == "F" else a for a in argv]
     proc = run_process(*argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -186,3 +197,115 @@ def test_bigint_roundtrip():
     blob = dumps({"n": 2**80}, schema=False)
     assert json.loads(blob)["n"] == str(2**80)
     assert loads(blob)["n"] == 2**80
+
+
+# -- fuzzing the payload flags --------------------------------------------------
+
+TWO_CHAIN = {"points": [{"id": "p"}, {"id": "m"}], "covers": [["p", "m"]]}
+POSET_FILTRATION = {
+    "spectrum": TWO_CHAIN,
+    "tail": {"kind": "points", "points": ["m", "p"]},
+    "window": {"start": 1, "end": 1},
+    "levels": [{"kind": "points", "points": ["m"]}],
+    "head": {"kind": "points", "points": []},
+}
+GRADED = {
+    "graded": [
+        [0, {"free": 1, "localized": [], "torsion": [[2, 2, 1]], "prufer": []}],
+        [1, {"free": 0,
+             "localized": [{"inverted": {"kind": "finite", "primes": [5]}, "rank": 1}],
+             "torsion": [],
+             "prufer": [{"primes": {"kind": "finite", "primes": [3]}, "mult": 1}]}],
+    ]
+}
+# cm-check's Hom route reads finitely generated homology only
+GRADED_FG = {"graded": GRADED["graded"][:1]}
+KOSZUL = {"minDeg": -1, "ranks": [1, 1], "diffs": [[[4]]]}
+
+# (flag, valid payloads, command line with P for the payload file)
+PAYLOAD_FLAGS = [
+    ("-f", (REPEATED_LEVEL, SPEC_Z_CANONICAL), ("check-cousin", "-f", "P")),
+    ("-f", (REPEATED_LEVEL,), ("localize", "-f", "P", "--point", "(2)")),
+    ("-f", (POSET_FILTRATION,), ("localize", "-f", "P", "--point", "m")),
+    ("-f", (REPEATED_LEVEL,), ("truncate", "-f", "P", "-x", "X")),
+    ("-f", (POSET_FILTRATION,), ("dual", "-f", "P", "--codim", "C")),
+    ("-x", (Z_STALK, KOSZUL, GRADED), ("truncate", "-f", "F", "-x", "P")),
+    ("-x", (Z_STALK, KOSZUL, GRADED), ("member", "-f", "F", "-x", "P", "--side", "aisle")),
+    ("-x", (Z_STALK, KOSZUL, GRADED_FG), ("cm-check", "-x", "P")),
+    ("-z", ({"kind": "finite", "primes": [2]}, {"kind": "cofinite", "primes": [3]}),
+     ("kashiwara", "--lemma", "1", "-z", "P", "-x", "X", "-n", "0")),
+    ("--spectrum", (TWO_CHAIN, {"ring": "Z"}),
+     ("census", "--spectrum", "P", "--window", "0..1")),
+    ("--codim", ({"p": 0, "m": 1},), ("cm", "--spectrum", "two-chain", "--codim", "P")),
+]
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([2**53, 2**64, -(2**64)]),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.sampled_from(["", "x", "p", "m", "(2)", "finite", "cofinite", "whole", "points", "Z"]),
+)
+_junk = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["kind", "primes", "free", "graded", "ranks"]),
+                        inner, max_size=2),
+    ),
+    max_leaves=4,
+)
+
+
+def _mutate(value, data):
+    """One random edit somewhere inside a JSON value: replace a node with
+    junk, drop a key or an element, or descend."""
+    children = (
+        list(value.items()) if isinstance(value, dict)
+        else list(enumerate(value)) if isinstance(value, list) else []
+    )
+    move = data.draw(st.sampled_from(["replace", "drop", "descend"] if children else ["replace"]))
+    if move == "replace":
+        return data.draw(_junk)
+    key, child = data.draw(st.sampled_from(children))
+    out = dict(value) if isinstance(value, dict) else list(value)
+    if move == "drop":
+        del out[key]
+    else:
+        out[key] = _mutate(child, data)
+    return out
+
+
+def _payload_paths(files, payload):
+    return {
+        "P": files("payload.json", payload),
+        "F": files("f.json", REPEATED_LEVEL),
+        "X": files("x.json", Z_STALK),
+        "C": files("codim.json", {"p": 0, "m": 1}),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [(argv, payload) for _, valid, argv in PAYLOAD_FLAGS for payload in valid],
+)
+def test_unmutated_payloads_exit_0(files, argv, payload):
+    # the fuzzer's starting points are accepted, so its mutations reach
+    # the parsers rather than failing on the command line around them
+    paths = _payload_paths(files, payload)
+    assert main([paths.get(a, a) for a in argv] + ["--quiet"]) == 0
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_payloads_exit_0_or_2(files, data):
+    flag, valid, argv = data.draw(st.sampled_from(PAYLOAD_FLAGS))
+    payload = data.draw(st.sampled_from(valid))
+    for _ in range(data.draw(st.integers(1, 3))):
+        payload = _mutate(payload, data)
+    paths = _payload_paths(files, payload)
+    assert flag in argv
+    code = main([paths.get(a, a) for a in argv] + ["--quiet"])
+    assert code in (0, 2), (argv, payload)

@@ -63,6 +63,14 @@ def test_cm_membership_fixtures():
     )
 
 
+def test_cm_membership_far_from_zero():
+    # both routes see every degree, not only a window around 0
+    assert not cm_membership(FormalObject.free_stalk(1, 7))
+    assert not cm_membership(FormalObject.cyclic_stalk(2, 40))
+    assert cm_membership(FormalObject.free_stalk(1, -40))
+    assert cm_membership(FormalObject.cyclic_stalk(3, 0) + FormalObject.free_stalk(2, -9))
+
+
 def test_cm_membership_agreement_on_corpus():
     rng = rng_from_seed(23)
     for _ in range(300):

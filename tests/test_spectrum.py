@@ -35,6 +35,29 @@ def test_point_validation():
     assert is_prime(2**61 - 1)
 
 
+@pytest.mark.parametrize("bad", [1, 4, -3, 2**64])
+def test_contains_rejects_non_points(bad):
+    # zpoint caches accepted points only, so a refusal repeats on every call
+    for Z in (ZSubset.whole(), ZSubset.finite([2, 3]), ZSubset.cofinite([5])):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Z.contains(bad)
+    with pytest.raises(ValueError):
+        zpoint(bad)
+
+
+def test_contains_on_integers_and_points():
+    big = 2**61 - 1
+    inside = {
+        ZSubset.whole(): {0, 2, 3, 5, 7, big},
+        ZSubset.finite([2, 3]): {2, 3},
+        ZSubset.cofinite([5]): {2, 3, 7, big},
+    }
+    for Z, points in inside.items():
+        for p in (0, 2, 3, 5, 7, big):
+            assert Z.contains(p) == Z.contains(SpecZPoint(p)) == (p in points)
+
+
 def test_poset_validation():
     with pytest.raises(ValueError):
         FinPoset("ab", [("a", "b"), ("b", "a")])

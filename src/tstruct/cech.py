@@ -10,8 +10,8 @@ single defining element,
     Z -> Z[1/(p_1 ... p_k)],
 
 localization as the cone of its augmentation, and then *observes* the
-result: rational ranks by rank-nullity over Q, and for each prime p in
-a window an exact p-local fingerprint per degree.  Dropping the
+result: rational ranks by rank-nullity over Q, and for each prime p of
+a finite set an exact p-local fingerprint per degree.  Dropping the
 p-divisible summands leaves a genuine integer complex K_p whose
 reductions mod p^t agree with those of the model for every t, so one
 integral Smith-normal-form homology per prime fixes all the model shows
@@ -400,11 +400,9 @@ class OracleReport:
     ``ranks`` maps a degree to its rational rank; ``rows`` maps
     ``(p, degree)`` to ``(growth, exponents)``: the growth count of the
     row and its p-torsion as sorted ``((e, multiplicity), ...)`` pairs,
-    one per summand Z/p^e.  Only degrees in ``[lo, hi]`` are recorded.
+    one per summand Z/p^e.
     """
 
-    lo: int
-    hi: int
     primes: tuple
     ranks: dict
     rows: dict
@@ -486,17 +484,7 @@ def _merge_exponents(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(acc.items()))
 
 
-def _window(W) -> tuple:
-    blocks = _blocks(W)
-    if not blocks:
-        return (0, 0)
-    return (
-        min(B.min_degree for B in blocks) - 1,
-        max(B.max_degree for B in blocks) + 1,
-    )
-
-
-def fingerprints(W, primes, lo=None, hi=None) -> OracleReport:
+def fingerprints(W, primes) -> OracleReport:
     """Observe a model (a tuple of blocks, or one block): rational ranks
     and p-local fingerprints.
 
@@ -517,33 +505,25 @@ def fingerprints(W, primes, lo=None, hi=None) -> OracleReport:
     (The divisible 2-torsion sitting in degree 1 shows up as a summand
     of degree 0 that grows with t, against zero rational rank.)
     """
-    blocks = _blocks(W)
-    w_lo, w_hi = _window(blocks)
-    lo = w_lo if lo is None else lo
-    hi = w_hi if hi is None else hi
     primes = tuple(sorted(set(primes)))
     ranks: dict = {}
     rows: dict = {}
-    for B in blocks:
+    for B in _blocks(W):
         base = B.min_degree
         for k, r in _rational_ranks(B.labels, B.diffs):
-            if lo <= base + k <= hi:
-                ranks[base + k] = ranks.get(base + k, 0) + r
+            ranks[base + k] = ranks.get(base + k, 0) + r
         for p in primes:
             for k, growth, exps in _integral_homology_mod(B.labels, B.diffs, p):
-                if lo <= base + k <= hi:
-                    key = (p, base + k)
-                    if key in rows:
-                        g, x = rows[key]
-                        rows[key] = (g + growth, _merge_exponents(x, exps))
-                    else:
-                        rows[key] = (growth, exps)
-    return OracleReport(lo, hi, primes, ranks, rows)
+                key = (p, base + k)
+                if key in rows:
+                    g, x = rows[key]
+                    rows[key] = (g + growth, _merge_exponents(x, exps))
+                else:
+                    rows[key] = (growth, exps)
+    return OracleReport(primes, ranks, rows)
 
 
-def predicted_fingerprints(
-    F: FormalObject, primes, lo: int, hi: int
-) -> OracleReport:
+def predicted_fingerprints(F: FormalObject, primes) -> OracleReport:
     """The fingerprints a formal object must show if it is the truth.
 
     At p, a free or untouched-localized summand grows in its own degree,
@@ -556,14 +536,14 @@ def predicted_fingerprints(
     rows: dict = {}
 
     def add(p: int, d: int, growth: int, exps: tuple):
-        if (growth or exps) and lo <= d <= hi:
+        if growth or exps:
             g, x = rows.get((p, d), _ZERO_ROW)
             rows[(p, d)] = (g + growth, x + exps)
 
     # degrees ascend, so a row's torsion (from its own degree) is written
     # before the Pruefer growth of the degree above is added to it
     for d, E in F.graded:
-        if E.rational_rank and lo <= d <= hi:
+        if E.rational_rank:
             ranks[d] = E.rational_rank
         for p in primes:
             add(
@@ -573,7 +553,7 @@ def predicted_fingerprints(
                 _p_exponents(E.torsion, p),
             )
             add(p, d - 1, sum(m for s, m in E.prufer if s.contains(p)), ())
-    return OracleReport(lo, hi, primes, ranks, rows)
+    return OracleReport(primes, ranks, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -602,15 +582,11 @@ class ValidationReport:
 
 def check_object(F: FormalObject, W, primes) -> ValidationReport:
     """Exact agreement of rational ranks and p-local fingerprints between
-    a claimed object and a chain model, row by row.
-
-    Neither side is narrowed: the model's default window holds every
-    row of its blocks, and a claim's rows lie in ``[min F - 1, max F]``
-    (its degrees ascend).
+    a claimed object and a chain model, row by row, over every degree
+    either side shows.
     """
     got = fingerprints(W, primes)
-    lo, hi = (F.graded[0][0] - 1, F.graded[-1][0]) if F.graded else (-1, 0)
-    want = predicted_fingerprints(F, primes, lo, hi)
+    want = predicted_fingerprints(F, primes)
     mism = [
         ("rational-rank", 0, d, got.rank_at(d), want.rank_at(d))
         for d in got.ranks.keys() | want.ranks.keys()
@@ -633,8 +609,6 @@ def _relevant_primes(*sources) -> tuple:
             out |= set(s.mentioned_primes())
         elif isinstance(s, SpFiltration):
             out |= set(s.mentioned_primes())
-        elif isinstance(s, (set, frozenset, tuple, list)):
-            out |= set(s)
     return tuple(sorted(out)) or (2,)
 
 
@@ -766,24 +740,6 @@ def validate_tau_filtration(
         mism.extend(_check_tau_step(j, Z, current, step, pr).mismatches)
         current = step.upper
     return ValidationReport.of(mism)
-
-
-def cech_oracle(levels, X: FreeComplex, primes=None) -> dict:
-    """Observe the derived torsion of X at each level, chain-level.
-
-    ``levels`` is an iterable of sp-subsets (each a finite prime set or
-    the whole spectrum); the result maps each level to the fingerprint
-    report of the stable Koszul model tensored with X.
-
-    >>> rep = cech_oracle([ZSubset.finite([2])], FreeComplex.stalk_free(1, 0))
-    >>> rep[ZSubset.finite([2])].divisible_signals()
-    ((2, 0),)
-    """
-    out = {}
-    for Z in levels:
-        W = tensor(LocFreeComplex.from_free_complex(X), cech_model(Z))
-        out[Z] = fingerprints(W, primes or _relevant_primes(Z, from_free_complex(X)))
-    return out
 
 
 def divisible_rank_detection(F: FormalObject, primes=None):

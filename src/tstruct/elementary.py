@@ -131,17 +131,6 @@ class ElementaryModule:
             self.prufer + other.prufer,
         )
 
-    def scale(self, n: int) -> "ElementaryModule":
-        """Direct sum of n copies."""
-        if n == 0:
-            return _ZERO
-        return ElementaryModule(
-            self.free_rank * n,
-            tuple((s, r * n) for s, r in self.localized),
-            tuple((p, e, m * n) for p, e, m in self.torsion),
-            tuple((s, m * n) for s, m in self.prufer),
-        )
-
     @property
     def is_zero(self) -> bool:
         return not (self.free_rank or self.localized or self.torsion or self.prufer)

@@ -217,8 +217,8 @@ def test_predicted_observables_consistency():
         )
     )
     model = formal_object_model(F)
-    got = fingerprints(model, (2, 3, 5), -1, 2)
-    want = predicted_fingerprints(F, (2, 3, 5), -1, 2)
+    got = fingerprints(model, (2, 3, 5))
+    want = predicted_fingerprints(F, (2, 3, 5))
     assert got == want
     assert got.fingerprint(2, 0) == (3, ((3, 1),))  # Z, and Pruefer above
     assert got.fingerprint(3, 1) == (0, ())  # Z[1/3] is 3-divisible
@@ -264,6 +264,10 @@ def _single_atom_mutations(F):
 def test_fingerprint_accepts_models_of_random_objects(seed):
     F = random_formal_object(rng_from_seed(seed))
     assert check_object(F, formal_object_model(F), _primes(F)).ok
+    # a claim predicts rows only in [min F - 1, max F]
+    want = predicted_fingerprints(F, _primes(F))
+    degrees = want.ranks.keys() | {d for _, d in want.rows}
+    assert all(min(F.degrees()) - 1 <= d <= max(F.degrees()) for d in degrees)
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,8 +319,12 @@ def _assert_blockwise_equals_dense(model, primes):
     got, want = fingerprints(model, primes), fingerprints(dense, primes)
     assert got == want
     assert got.divisible_signals() == want.divisible_signals()
-    lo, hi = want.lo + 1, want.hi - 1  # a narrower window cuts both alike
-    assert fingerprints(model, primes, lo, hi) == fingerprints(dense, primes, lo, hi)
+    # every row lies in the blocks' own degrees, so no window could cut one
+    degrees = got.ranks.keys() | {d for _, d in got.rows}
+    assert all(
+        min(B.min_degree for B in model) <= d <= max(B.max_degree for B in model)
+        for d in degrees
+    )
 
 
 def test_equal_blocks_in_two_degrees():

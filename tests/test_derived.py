@@ -305,24 +305,6 @@ def test_radical_invariance_of_generators():
                 assert verdicts[0] == verdicts[1], (m, rad, str(Y), i)
 
 
-def test_indeterminate_objects_are_rejected():
-    from tstruct.derived import ExtensionCertificate, IndeterminateObjectError, rgamma
-
-    cert = ExtensionCertificate(0, EM.free(1), EM.prufer_sum(zf(2), 1))
-    stuck = FormalObject(((0, EM.free(1)),), (cert,))
-    assert not stuck.is_determinate
-    with pytest.raises(IndeterminateObjectError):
-        rgamma(zf(2), stuck)
-    with pytest.raises(IndeterminateObjectError):
-        tau_filtration(CANONICAL, stuck)
-    resolved = FormalObject(
-        ((0, EM.free(1)),),
-        (ExtensionCertificate(0, EM.free(1), EM.prufer_sum(zf(2), 1),
-                              EM.localized_free(zf(2), 1)),),
-    )
-    assert resolved.is_determinate
-
-
 def test_large_primes_stay_exact():
     # the spectrum admits any 64-bit prime; arithmetic must stay exact
     from tstruct.cech import validate_rgamma, validate_rq, validate_tau_filtration

@@ -60,6 +60,8 @@ from .spectrum import ZSubset
 from .zmodules import (
     FreeComplex,
     homology,
+    is_zero_matrix,
+    matmul,
     rank_rational,
     zeros,
 )
@@ -123,11 +125,8 @@ class LocFreeComplex:
         for k in range(len(diffs) - 1):
             A = [list(r) for r in diffs[k + 1]]
             B = [list(r) for r in diffs[k]]
-            if A and B and A[0]:
-                from .zmodules import matmul, is_zero_matrix
-
-                if not is_zero_matrix(matmul(A, B)):
-                    raise ValueError("d o d != 0")
+            if A and B and A[0] and not is_zero_matrix(matmul(A, B)):
+                raise ValueError("d o d != 0")
 
     @property
     def max_degree(self) -> int:
@@ -577,16 +576,24 @@ class ValidationReport:
     @staticmethod
     def of(mismatches) -> "ValidationReport":
         mism = tuple(sorted(mismatches, key=lambda m: m[1:3]))
-        return ValidationReport(not mism, mism)
+        return ValidationReport(False, mism) if mism else _AGREE
+
+
+_AGREE = ValidationReport(True, ())  # shared: most checks agree
 
 
 def check_object(F: FormalObject, W, primes) -> ValidationReport:
     """Exact agreement of rational ranks and p-local fingerprints between
     a claimed object and a chain model, row by row, over every degree
     either side shows.
+
+    Both reports keep nonzero rows only, so equal tables mean agreement
+    and are the common case; only a disagreement is scanned row by row.
     """
     got = fingerprints(W, primes)
     want = predicted_fingerprints(F, primes)
+    if got.ranks == want.ranks and got.rows == want.rows:
+        return _AGREE
     mism = [
         ("rational-rank", 0, d, got.rank_at(d), want.rank_at(d))
         for d in got.ranks.keys() | want.ranks.keys()
@@ -600,8 +607,9 @@ def check_object(F: FormalObject, W, primes) -> ValidationReport:
     return ValidationReport.of(mism)
 
 
-def _relevant_primes(*sources) -> tuple:
-    out = set()
+def _relevant_primes(*sources, known=frozenset()) -> tuple:
+    """The sorted primes named by the sources and ``known``, or (2,)."""
+    out = set(known)
     for s in sources:
         if isinstance(s, ZSubset):
             out |= set(s.primes)
@@ -717,7 +725,11 @@ def validate_tau_filtration(
     """Validate every one-level step of the composed truncation.
 
     Each step's vertices are checked against their chain models; the
-    next step consumes the engine's (validated) upper vertex.
+    next step consumes the engine's (validated) upper vertex.  The steps
+    come from the engine's memo, so after ``tau_filtration(filtration, F)``
+    these are the very steps it composed.  Each step is checked at the
+    primes of F and the filtration, found once, and at those its own
+    vertices name, so a prime the engine invents is observed too.
     """
     if filtration.is_constant:
         Z = filtration.tail
@@ -731,12 +743,13 @@ def validate_tau_filtration(
             mism.extend(check_object(claim, W, pr).mismatches)
         return ValidationReport.of(mism)
     s, n = filtration.determined_interval()
+    known = F.mentioned_primes() | filtration.mentioned_primes()
     mism = []
     current = F
     for j in range(s, n + 1):
         Z = filtration.value(j)
         step = tau_single(j, Z, current)
-        pr = primes or _relevant_primes(Z, F, filtration, step.lower, step.upper)
+        pr = primes or _relevant_primes(Z, step.lower, step.upper, known=known)
         mism.extend(_check_tau_step(j, Z, current, step, pr).mismatches)
         current = step.upper
     return ValidationReport.of(mism)

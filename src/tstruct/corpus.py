@@ -19,6 +19,8 @@ from .zmodules import FgZModule, FreeComplex, direct_sum, identity, matmul
 
 DEFAULT_SEED = 987654321
 DEFAULT_PRIMES = (2, 3, 5)
+# homological degrees of the random objects and complexes
+DEGREE_WINDOW = (-3, 3)
 
 
 def rng_from_seed(seed: int) -> random.Random:
@@ -41,11 +43,10 @@ def random_fg_module(
 
 def random_fg_object(
     rng: random.Random,
-    degree_window=(-3, 3),
     primes=DEFAULT_PRIMES,
     max_degrees: int = 3,
 ) -> FormalObject:
-    lo, hi = degree_window
+    lo, hi = DEGREE_WINDOW
     degs = rng.sample(range(lo, hi + 1), rng.randint(1, max_degrees))
     graded = []
     for d in degs:
@@ -65,12 +66,11 @@ def random_subset_z(rng: random.Random, primes=DEFAULT_PRIMES) -> ZSubset:
 
 def random_formal_object(
     rng: random.Random,
-    degree_window=(-3, 3),
     primes=DEFAULT_PRIMES,
     max_degrees: int = 3,
 ) -> FormalObject:
     """A formal object that may carry localized and Pruefer atoms."""
-    lo, hi = degree_window
+    lo, hi = DEGREE_WINDOW
     degs = rng.sample(range(lo, hi + 1), rng.randint(1, max_degrees))
     graded = []
     for d in degs:
@@ -121,7 +121,6 @@ def random_free_complex(
     max_terms: int = 6,
     max_rank: int = 3,
     max_entry: int = 20,
-    degree_window=(-3, 3),
     primes=DEFAULT_PRIMES,
     max_exp: int = 3,
 ) -> FreeComplex:
@@ -131,7 +130,7 @@ def random_free_complex(
     >>> all(abs(x) <= 20 for M in X.diffs for row in M for x in row)
     True
     """
-    lo, hi = degree_window
+    lo, hi = DEGREE_WINDOW
     while True:
         pieces = []
         for _ in range(rng.randint(1, max_terms // 2)):

@@ -26,6 +26,7 @@ the co-aisle by vanishing of ``rgamma`` below each level index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .elementary import ElementaryModule
 from .filtration import SpFiltration, canonical_filtration, from_values
@@ -55,6 +56,14 @@ class FormalObject:
         object.__setattr__(
             self, "graded", tuple(sorted(acc.items()))
         )
+
+    @staticmethod
+    def _canonical(graded: tuple) -> "FormalObject":
+        """The object of graded data that is already canonical: degrees
+        strictly ascending, no zero module.  Nothing is re-merged."""
+        obj = object.__new__(FormalObject)
+        object.__setattr__(obj, "graded", graded)
+        return obj
 
     @staticmethod
     def zero() -> "FormalObject":
@@ -95,14 +104,18 @@ class FormalObject:
 
     def shift(self, k: int) -> "FormalObject":
         """X[k]: homology in degree d moves to degree d - k."""
-        return FormalObject(tuple((d - k, E) for d, E in self.graded))
+        return FormalObject._canonical(tuple((d - k, E) for d, E in self.graded))
 
     def __add__(self, other: "FormalObject") -> "FormalObject":
+        if not self.graded:
+            return other
+        if not other.graded:
+            return self
         return FormalObject(self.graded + other.graded)
 
     def truncate_below(self, i: int) -> "FormalObject":
         """Degrees <= i (the good-truncation homology slice)."""
-        return FormalObject(tuple((d, E) for d, E in self.graded if d <= i))
+        return FormalObject._canonical(tuple((d, E) for d, E in self.graded if d <= i))
 
     def nonfg_atoms(self) -> tuple:
         out = []
@@ -258,6 +271,7 @@ class TruncationResult:
         yield self.upper
 
 
+@lru_cache(maxsize=128)
 def tau_single(i: int, Z: ZSubset, X: FormalObject) -> TruncationResult:
     """Truncation triangle of the aisle "degrees <= i with supports in Z".
 
@@ -269,6 +283,11 @@ def tau_single(i: int, Z: ZSubset, X: FormalObject) -> TruncationResult:
       extension of the Pruefer part by the torsion-free quotient;
     * homology at degree i exactly: only the torsion sub is removed;
     * homology above i: untouched.
+
+    Steps are memoized (the inputs are frozen values and the answer is
+    exact), so a composed truncation and its validation, or two
+    filtrations that start alike, share them.  The memo is bounded;
+    ``suites`` clears it with the oracle caches, once per criterion.
 
     >>> lo, up = tau_single(1, ZSubset.finite([2]), FormalObject.free_stalk(1))
     >>> str(lo), str(up)
@@ -457,17 +476,14 @@ class GeneratorReductionReport:
     via_stalk_generators: bool
 
 
-def generator_reduction_crosscheck(
-    X: FreeComplex, Y: FormalObject, window: tuple[int, int]
-) -> GeneratorReductionReport:
+def generator_reduction_crosscheck(X: FreeComplex, Y: FormalObject) -> GeneratorReductionReport:
     """Two routes to "no maps from X into nonpositive shifts of Y".
 
     Route one computes Hom(X, Y[i]) for i <= 0 through the hereditary
     splitting of X and the Hom/Ext tables.  Route two tests the stalk
     generators at the minimal primes of each homology support.  The two
     must agree; the report records both verdicts.  Both sides are exact:
-    only finitely many shifts can contribute, so the window argument is
-    a convention of the call site, not a truncation of the search.
+    only finitely many shifts can contribute, so no window is needed.
     """
     H = homology(X)
     cond1 = True

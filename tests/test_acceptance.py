@@ -8,7 +8,7 @@ budget where one applies.  The same suites back ``tstruct verify``.
 import pytest
 
 from conftest import record
-from tstruct import suites
+from tstruct import derived, suites
 
 BUDGETS = {
     "classification-round-trip": 10.0,
@@ -45,15 +45,17 @@ def test_criterion_2_weak_cousin_necessity():
 def test_divisible_signal_cache_lives_for_one_criterion():
     suites.criterion_cousin_necessity(suites.DEFAULT_SEED)
     assert suites._cached_divisible_signals.cache_info().currsize > 0
+    assert derived.tau_single.cache_info().currsize > 0
     seen = []
 
     @suites._timed
     def next_criterion():
         seen.append(suites._cached_divisible_signals.cache_info().currsize)
+        seen.append(derived.tau_single.cache_info().currsize)
         return {}
 
     next_criterion()
-    assert seen == [0]
+    assert seen == [0, 0]
 
 
 def test_criterion_3_weak_cousin_sufficiency():

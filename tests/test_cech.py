@@ -33,7 +33,8 @@ from tstruct.corpus import (
     random_subset_z,
     rng_from_seed,
 )
-from tstruct.derived import FormalObject, from_free_complex, rgamma
+from tstruct import cech, derived
+from tstruct.derived import FormalObject, TruncationResult, from_free_complex, rgamma
 from tstruct.elementary import ElementaryModule as EM
 from tstruct.filtration import (
     canonical_filtration,
@@ -139,6 +140,33 @@ def test_validation_catches_wrong_claims():
     # and the right claim matches
     right = FormalObject.stalk(EM.localized_free(zf(2), 1), 0)
     assert check_object(right, model, (2,)).ok
+
+
+def test_check_object_compares_ranks_when_rows_agree():
+    # Z[1/2] against the zero model: neither side has a row at 2, so only
+    # the rational rank tells them apart
+    claim = FormalObject.stalk(EM.localized_free(zf(2), 1), 0)
+    rep = check_object(claim, LocFreeComplex.zero(), (2,))
+    assert rep.mismatches == (("rational-rank", 0, 0, 0, 1),)
+
+
+def test_tau_validation_observes_primes_a_later_step_invents(monkeypatch):
+    # an engine whose second step invents Z/7: 7 is named neither by the
+    # object nor by the filtration, only by that step's upper vertex
+    f = from_values(SPEC_Z, {0: W, 1: zf(2)}, W, E)
+    X = FormalObject.free_stalk(1, 0)
+    assert f.determined_interval() == (0, 1) and validate_tau_filtration(f, X).ok
+    honest = derived.tau_single.__wrapped__
+
+    def invents_seven(i, Z, F):
+        step = honest(i, Z, F)
+        if i == 1:
+            return TruncationResult(step.lower, step.upper + FormalObject.cyclic_stalk(7, 5))
+        return step
+
+    monkeypatch.setattr(cech, "tau_single", invents_seven)
+    rep = validate_tau_filtration(f, X)
+    assert rep.mismatches == (("fingerprint", 7, 5, (0, ()), (0, ((1, 1),))),)
 
 
 def test_tau_validation_fixtures():

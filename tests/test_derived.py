@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tstruct.corpus import random_formal_object, random_subset_z, rng_from_seed
 from tstruct.derived import (
     FormalObject,
     from_free_complex,
@@ -241,12 +243,12 @@ def test_shift_equivariance():
 
 def test_generator_reduction_fixtures():
     half = FormalObject.stalk(EM.localized_free(zf(2), 1), 0)
-    rep = generator_reduction_crosscheck(FreeComplex.koszul([2]), half, (-3, 3))
+    rep = generator_reduction_crosscheck(FreeComplex.koszul([2]), half)
     assert rep.agree and rep.via_hom_complex and rep.via_stalk_generators
-    rep = generator_reduction_crosscheck(FreeComplex.stalk_free(1, 0), Z_STALK, (-3, 3))
+    rep = generator_reduction_crosscheck(FreeComplex.stalk_free(1, 0), Z_STALK)
     assert rep.agree and not rep.via_hom_complex
     acyclic = FreeComplex(0, (1, 1), (((1,),),))
-    rep = generator_reduction_crosscheck(acyclic, Z_STALK, (-3, 3))
+    rep = generator_reduction_crosscheck(acyclic, Z_STALK)
     assert rep.agree and rep.via_hom_complex
 
 
@@ -322,3 +324,38 @@ def test_large_primes_stay_exact():
     assert validate_rq(zf(big), X, primes=(big,)).ok
     assert validate_tau_filtration(f, FormalObject.free_stalk(1, 0), primes=(big,)).ok
     assert cm_membership(FormalObject.cyclic_stalk(big, 0))
+
+
+# -- the truncation-step memo and the canonical constructor -------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_memoized_steps_and_canonical_constructor_match_checked(seed):
+    tau_single.cache_clear()
+    rng = rng_from_seed(seed)
+    X = random_formal_object(rng)
+    Z = random_subset_z(rng)
+    for i in range(-4, 5):
+        got = tau_single(i, Z, X)
+        want = tau_single.__wrapped__(i, Z, X)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        assert X.shift(i) == FormalObject(tuple((d - i, M) for d, M in X.graded))
+        assert X.truncate_below(i) == FormalObject(
+            tuple((d, M) for d, M in X.graded if d <= i)
+        )
+        for G in (X.shift(i), X.truncate_below(i), got.lower, got.upper,
+                  rgamma(Z, X), rq(Z, X)):
+            assert FormalObject._canonical(G.graded) == G == FormalObject(G.graded)
+    # the second sweep is read from the memo
+    for i in range(-4, 5):
+        assert tau_single(i, Z, X) == tau_single.__wrapped__(i, Z, X)
+    assert tau_single.cache_info().hits >= 9
+    zero = FormalObject.zero()
+    assert X + zero is X and zero + X is X
+    Y = random_formal_object(rng)
+    assert X + Y == FormalObject(X.graded + Y.graded)
+
+
+def test_truncation_memo_is_bounded():
+    assert 64 <= tau_single.cache_info().maxsize < float("inf")

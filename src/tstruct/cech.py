@@ -149,7 +149,8 @@ class LocFreeComplex:
 
     @property
     def is_zero(self) -> bool:
-        return all(not row for row in self.labels)
+        # empty degrees are trimmed at both ends, so a zero complex has no rows
+        return not self.labels
 
     def _at(self, d: int) -> "LocFreeComplex":
         """The same block starting in degree d.  Its labels and

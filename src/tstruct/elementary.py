@@ -52,8 +52,37 @@ def _merge_torsion(entries):
     return tuple((p, e, m) for (p, e), m in sorted(acc.items()))
 
 
+def _sum_atoms(a: tuple, b: tuple, merge) -> tuple:
+    # a and b are canonical: an empty side leaves the other one as it is
+    if not a:
+        return b
+    if not b:
+        return a
+    return merge(a + b)
+
+
+_WHOLE_SET = "localization/Pruefer sets are sets of maximal ideals"
+
+
+def _one_set(s: ZSubset, n: int) -> tuple:
+    # the single (set, multiplicity) entry of a named constructor; n != 0
+    if n < 0:
+        raise ValueError("negative multiplicity")
+    if s.is_whole:
+        raise ValueError(_WHOLE_SET)
+    return ((s, n),)
+
+
 @dataclass(frozen=True)
 class ElementaryModule:
+    """A finite direct sum of free, localized, torsion and Pruefer atoms.
+
+    The atom tuples are canonical: equal keys merged, zero entries
+    dropped, sorted.  The named constructors and ``+`` build them that way
+    directly; the public constructor canonicalizes and validates outside
+    input (JSON, tests) on every call.
+    """
+
     free_rank: int = 0
     localized: tuple = ()  # ((ZSubset, rank), ...) with nonempty sets
     torsion: tuple = ()    # ((p, e, mult), ...)
@@ -67,7 +96,18 @@ class ElementaryModule:
         object.__setattr__(self, "prufer", _merge_sets(self.prufer))
         for s, _ in self.localized + self.prufer:
             if s.is_whole:
-                raise ValueError("localization/Pruefer sets are sets of maximal ideals")
+                raise ValueError(_WHOLE_SET)
+
+    @staticmethod
+    def _canonical(free_rank: int, localized: tuple, torsion: tuple, prufer: tuple):
+        """The module of atom tuples that are already canonical and valid.
+        Nothing is re-merged or re-checked."""
+        obj = object.__new__(ElementaryModule)
+        object.__setattr__(obj, "free_rank", free_rank)
+        object.__setattr__(obj, "localized", localized)
+        object.__setattr__(obj, "torsion", torsion)
+        object.__setattr__(obj, "prufer", prufer)
+        return obj
 
     # -- constructors ---------------------------------------------------------
 
@@ -82,7 +122,11 @@ class ElementaryModule:
 
     @staticmethod
     def free(rank: int) -> "ElementaryModule":
-        return ElementaryModule(free_rank=rank)
+        if rank < 0:
+            raise ValueError("negative rank")
+        if rank == 0:
+            return _ZERO
+        return ElementaryModule._canonical(rank, (), (), ())
 
     @staticmethod
     def localized_free(inverted: ZSubset, rank: int) -> "ElementaryModule":
@@ -96,20 +140,22 @@ class ElementaryModule:
         if rank == 0:
             return _ZERO
         if inverted.is_empty:
-            return ElementaryModule(free_rank=rank)
-        return ElementaryModule(localized=((inverted, rank),))
+            return ElementaryModule.free(rank)
+        return ElementaryModule._canonical(0, _one_set(inverted, rank), (), ())
 
     @staticmethod
     def cyclic_torsion(p: int, e: int, mult: int = 1) -> "ElementaryModule":
         if mult == 0:
             return _ZERO
-        return ElementaryModule(torsion=((p, e, mult),))
+        if mult < 0 or e < 1:
+            raise ValueError("bad torsion entry")
+        return ElementaryModule._canonical(0, (), ((p, e, mult),), ())
 
     @staticmethod
     def prufer_sum(primes: ZSubset, mult: int = 1) -> "ElementaryModule":
         if mult == 0 or primes.is_empty:
             return _ZERO
-        return ElementaryModule(prufer=((primes, mult),))
+        return ElementaryModule._canonical(0, (), (), _one_set(primes, mult))
 
     @staticmethod
     def from_fg(module) -> "ElementaryModule":
@@ -119,16 +165,21 @@ class ElementaryModule:
     # -- structure ------------------------------------------------------------
 
     def __add__(self, other: "ElementaryModule") -> "ElementaryModule":
-        # both sides are already normalized, so a zero summand changes nothing
+        """Direct sum; equal atoms merge into one entry.
+
+        >>> ElementaryModule.cyclic_torsion(2, 1) + ElementaryModule.cyclic_torsion(2, 1)
+        ElementaryModule(torsion=((2, 1, 2),))
+        """
+        # both sides are already canonical, so a zero summand changes nothing
         if other.is_zero:
             return self
         if self.is_zero:
             return other
-        return ElementaryModule(
+        return ElementaryModule._canonical(
             self.free_rank + other.free_rank,
-            self.localized + other.localized,
-            self.torsion + other.torsion,
-            self.prufer + other.prufer,
+            _sum_atoms(self.localized, other.localized, _merge_sets),
+            _sum_atoms(self.torsion, other.torsion, _merge_torsion),
+            _sum_atoms(self.prufer, other.prufer, _merge_sets),
         )
 
     @property

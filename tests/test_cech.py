@@ -68,6 +68,17 @@ def test_model_shapes():
     assert rq_model_complex(E).labels_at(0) == (frozenset(),)
 
 
+def test_empty_rows_trim_to_the_zero_complex():
+    C = LocFreeComplex(3, ((), (), ()), ((), ()))
+    assert C.labels == () and C.min_degree == 0 and C.is_zero
+    # an empty row between nonempty ones stays, and the complex is not zero
+    D = LocFreeComplex(
+        -1, ((), (frozenset(),), (), (frozenset(),), ()), (((),), (), ((),), ())
+    )
+    assert D.min_degree == 0 and len(D.labels) == 3 and not D.is_zero
+    assert D._at(5).min_degree == 5 and not D._at(5).is_zero
+
+
 def test_label_discipline():
     with pytest.raises(ValueError):
         # a map out of a more inverted summand into a less inverted one

@@ -31,7 +31,7 @@ from functools import lru_cache
 from .elementary import ElementaryModule
 from .filtration import SpFiltration, canonical_filtration, from_values
 from .jsonio import integer
-from .spectrum import GENERIC, SPEC_Z, SpecZPoint, ZSubset, next_prime, zpoint
+from .spectrum import GENERIC, SPEC_Z, ZSubset, sample_points, zpoint
 from .zmodules import FgZModule, FreeComplex, homology, hom_ext_tables, hom_ext_vanish
 
 
@@ -400,28 +400,6 @@ def _generator_module(point) -> ElementaryModule:
     return ElementaryModule.cyclic_torsion(pt.p, 1)
 
 
-def _level_witness_points(level: ZSubset, object_primes: frozenset):
-    """Finitely many points faithfully representing the level's generators.
-
-    Membership of a prime unnamed by both the level and the object (whose
-    primes are ``object_primes``) is uniform, so one fresh prime stands
-    for the whole cofinite bulk.
-    """
-    pts = []
-    if level.is_whole:
-        pts.append(SpecZPoint(GENERIC))
-    named = object_primes | level.primes
-    for p in sorted(named):
-        if level.contains(p):
-            pts.append(SpecZPoint(p))
-    if level.is_whole or level.kind == "cofinite":
-        fresh = 2
-        while fresh in named:
-            fresh = next_prime(fresh)
-        pts.append(SpecZPoint(fresh))
-    return pts
-
-
 def orthogonality_check(
     filtration: SpFiltration, Y: FormalObject, window: tuple[int, int]
 ) -> OrthogonalityReport:
@@ -448,7 +426,7 @@ def orthogonality_check(
         level = filtration.value(i)
         if level.is_empty:
             continue
-        for pt in _level_witness_points(level, object_primes):
+        for pt in sample_points(level, object_primes):
             G = _generator_module(pt)
             for b, E in Y.graded:
                 m = b - i
@@ -469,6 +447,22 @@ def orthogonality_check(
 # generator-reduction crosscheck
 
 
+def stalk_maps_vanish(A: ElementaryModule, a: int, Y: FormalObject) -> bool:
+    """No maps from the stalk A in degree a into Y[m] for any m <= 0.
+
+    Against each homology E of Y in degree b, Hom(A, E) must vanish when
+    b - a <= 0 and Ext^1(A, E) when b - a + 1 <= 0; the degrees of Y
+    ascend, so the loop stops at the first b > a.
+    """
+    for b, E in Y.graded:
+        if b > a:
+            break
+        hom_zero, ext_zero = hom_ext_vanish(A, E)
+        if not hom_zero or (b - a + 1 <= 0 and not ext_zero):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class GeneratorReductionReport:
     agree: bool
@@ -486,31 +480,16 @@ def generator_reduction_crosscheck(X: FreeComplex, Y: FormalObject) -> Generator
     only finitely many shifts can contribute, so no window is needed.
     """
     H = homology(X)
-    cond1 = True
-    for a, Ma in H.items():
-        A = ElementaryModule.from_fg(Ma)
-        for b, E in Y.graded:
-            hom_zero, ext_zero = hom_ext_vanish(A, E)
-            if b - a <= 0 and not hom_zero:
-                cond1 = False
-            if b - a + 1 <= 0 and not ext_zero:
-                cond1 = False
-    cond3 = True
-    for a, Ma in H.items():
-        # minimal primes of the support: the generic point alone when the
-        # rank is positive, otherwise the torsion primes themselves
-        if Ma.rank > 0:
-            points = [SpecZPoint(GENERIC)]
-        else:
-            points = [SpecZPoint(p) for p in sorted(Ma.torsion_primes())]
-        for pt in points:
-            G = _generator_module(pt)
-            for b, E in Y.graded:
-                hom_zero, ext_zero = hom_ext_vanish(G, E)
-                if b - a <= 0 and not hom_zero:
-                    cond3 = False
-                if b - a + 1 <= 0 and not ext_zero:
-                    cond3 = False
+    cond1 = all(
+        stalk_maps_vanish(ElementaryModule.from_fg(Ma), a, Y) for a, Ma in H.items()
+    )
+    # minimal primes of each support: the generic point alone when the
+    # rank is positive, otherwise the torsion primes themselves
+    cond3 = all(
+        stalk_maps_vanish(_generator_module(p), a, Y)
+        for a, Ma in H.items()
+        for p in ([GENERIC] if Ma.rank > 0 else sorted(Ma.torsion_primes()))
+    )
     return GeneratorReductionReport(cond1 == cond3, cond1, cond3)
 
 

@@ -24,17 +24,8 @@ from .corpus import random_fg_object, rng_from_seed
 from .derived import FormalObject, in_aisle, in_coaisle, rgamma, tau_single
 from .elementary import ElementaryModule
 from .filtration import SpFiltration, cm_filtration, dual_filtration, weak_cousin
-from .spectrum import (
-    GENERIC,
-    SPEC_Z,
-    CodimFn,
-    SpecZPoint,
-    ZSubset,
-    next_prime,
-    specialization_closure,
-    zpoint,
-)
-from .zmodules import FgZModule, tor
+from .spectrum import SPEC_Z, CodimFn, ZSubset, sample_points, specialization_closure, zpoint
+from .zmodules import FgZModule, support, tor
 
 
 @dataclass(frozen=True)
@@ -133,46 +124,6 @@ def cm_membership(X: FormalObject) -> bool:
 # the finiteness predicates
 
 
-def _support_points(M: ElementaryModule, extra_primes=()):
-    """Finitely many points faithfully sampling the support of an fg module."""
-    pts = []
-    if M.free_rank:
-        pts.append(SpecZPoint(GENERIC))
-        named = set(M.torsion_primes()) | set(extra_primes)
-        for p in sorted(named):
-            pts.append(SpecZPoint(p))
-        fresh = 2
-        while fresh in named:
-            fresh = next_prime(fresh)
-        pts.append(SpecZPoint(fresh))
-    else:
-        for p in sorted(M.torsion_primes()):
-            pts.append(SpecZPoint(p))
-    return pts
-
-
-def _zone_points(Z: ZSubset, extra_primes=()):
-    """Finitely many points faithfully sampling an sp-subset."""
-    pts = []
-    if Z.is_whole:
-        pts.append(SpecZPoint(GENERIC))
-    named = set(Z.primes) | set(extra_primes)
-    for p in sorted(named):
-        if Z.contains(p):
-            pts.append(SpecZPoint(p))
-    if Z.is_whole or Z.kind == "cofinite":
-        fresh = 2
-        while fresh in named:
-            fresh = next_prime(fresh)
-        pts.append(SpecZPoint(fresh))
-    return pts
-
-
-def _cyclic_of(point) -> FgZModule:
-    pt = zpoint(point)
-    return FgZModule.free(1) if pt.is_generic else FgZModule.cyclic(pt.p)
-
-
 def _fg_support(E: ElementaryModule) -> ZSubset:
     """Support of a finitely generated elementary module as an sp-subset."""
     if E.free_rank > 0:
@@ -197,19 +148,17 @@ def kashiwara1_predicate(Z: ZSubset, X: FormalObject, n: int):
         raise ValueError("the predicate applies to finitely generated homology")
     cm = cm_filtration(DUALIZING.codim)
     DX = dualize(X)
-    extra = tuple(sorted(set(X.mentioned_primes()) | set(Z.primes)))
+    extra = X.mentioned_primes() | Z.primes
 
     c1 = rgamma(Z, X).truncate_below(n).is_zero
 
     c2 = True
     for k, Mk in DX.graded:
-        for q in _support_points(Mk, extra):
-            for p in _zone_points(Z, extra):
-                t0, t1 = tor(_cyclic_of(q), _cyclic_of(p))
+        for q in sample_points(_fg_support(Mk), Mk.torsion_primes() | extra):
+            for p in sample_points(Z, extra):
+                t0, t1 = tor(FgZModule.cyclic(q.p), FgZModule.cyclic(p.p))
                 for i, ti in ((0, t0), (1, t1)):
-                    from .zmodules import support as module_support
-
-                    if not module_support(ti).issubset(cm.value(k + n - i)):
+                    if not support(ti).issubset(cm.value(k + n - i)):
                         c2 = False
 
     c3 = True
@@ -239,14 +188,14 @@ def kashiwara2_predicate(Z: ZSubset, X: FormalObject, n: int):
         raise ValueError("the predicate applies to finitely generated homology")
     cm = cm_filtration(DUALIZING.codim)
     DX = dualize(X)
-    extra = tuple(sorted(set(X.mentioned_primes()) | set(Z.primes)))
+    extra = X.mentioned_primes() | Z.primes
 
     c1 = tau_single(n, Z, X).lower.is_fg
 
     c2 = True
     for k, Mk in DX.graded:
-        for q in _support_points(Mk, extra):
-            if Z.contains(q) if not zpoint(q).is_generic else Z.is_whole:
+        for q in sample_points(_fg_support(Mk), Mk.torsion_primes() | extra):
+            if Z.contains(q):
                 continue
             closure = specialization_closure([q], SPEC_Z)
             if not Z.meet(closure).issubset(cm.value(k + n)):

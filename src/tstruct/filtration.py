@@ -26,13 +26,13 @@ from .spectrum import (
     GENERIC,
     PosetSubset,
     SPEC_Z,
-    SpecZPoint,
     ZSubset,
     all_up_sets,
     empty_subset,
+    fresh_prime,
     is_connected,
     is_open_closed,
-    next_prime,
+    sample_points,
     specialization_closure,
     subset_from_json,
     spectrum_from_json,
@@ -143,14 +143,6 @@ class SpFiltration:
             out |= set(s.primes)
         return frozenset(out)
 
-    def fresh_prime(self) -> int:
-        """A prime unnamed in any level, standing in for the cofinite bulk."""
-        p = 2
-        named = self.mentioned_primes()
-        while p in named:
-            p = next_prime(p)
-        return p
-
     def __str__(self):
         if self.is_constant:
             return f"constant {self.tail}"
@@ -192,12 +184,6 @@ def _check_subset(spectrum, s):
 # -- constructors ------------------------------------------------------------
 
 
-def make_filtration(spectrum, tail, start, levels, head) -> SpFiltration:
-    """Canonicalize raw window data into a filtration (errors if not
-    decreasing or if a level is invalid)."""
-    return SpFiltration(spectrum, tail, start, tuple(levels), head)
-
-
 def constant_filtration(spectrum, value) -> SpFiltration:
     return SpFiltration(spectrum, value, 0, (), value)
 
@@ -229,19 +215,18 @@ def from_values(spectrum, values: dict, tail, head) -> SpFiltration:
 # covering-pair iteration, uniform over both spectrum models
 
 
-def _cover_pairs(filtration: SpFiltration):
+def _cover_pairs(spectrum, named=()):
     """Covering pairs (p, q) relevant to Cousin checks.
 
     Over a finite poset these are the poset covers.  Over Spec(Z) every
-    cover is (generic, (q)); the named primes of the filtration plus one
-    fresh prime represent all of them faithfully, because membership of
-    unnamed primes in every level is uniform.
+    cover is (generic, (q)); the ``named`` primes plus one fresh prime
+    represent all of them faithfully, because membership of unnamed
+    primes in every level is uniform.
     """
-    spec = filtration.spectrum
-    if not spec.is_specz:
-        return sorted(spec.covers)
-    primes = sorted(filtration.mentioned_primes()) + [filtration.fresh_prime()]
-    return [(SpecZPoint(GENERIC), SpecZPoint(q)) for q in primes]
+    if not spectrum.is_specz:
+        return sorted(spectrum.covers)
+    generic = zpoint(GENERIC)
+    return [(generic, q) for q in sample_points(ZSubset.cofinite(()), named)]
 
 
 @dataclass(frozen=True)
@@ -255,7 +240,8 @@ class CousinReport:
 
 def _cousin(filtration: SpFiltration, want_converse: bool) -> CousinReport:
     witnesses = []
-    pairs = _cover_pairs(filtration)
+    spec = filtration.spectrum
+    pairs = _cover_pairs(spec, filtration.mentioned_primes() if spec.is_specz else ())
     for j in filtration.check_range():
         lvl, prev = filtration.value(j), filtration.value(j - 1)
         for p, q in pairs:
@@ -367,10 +353,7 @@ def cm_filtration(codim: CodimFn) -> SpFiltration:
 def _candidate_points(filtration: SpFiltration):
     spec = filtration.spectrum
     if spec.is_specz:
-        yield SpecZPoint(GENERIC)
-        for p in sorted(filtration.mentioned_primes()):
-            yield SpecZPoint(p)
-        yield SpecZPoint(filtration.fresh_prime())
+        yield from sample_points(ZSubset.whole(), filtration.mentioned_primes())
     else:
         yield from spec.points
 
@@ -442,9 +425,8 @@ def _collect_points(filtration: SpFiltration, spec, members) -> object:
     if any(p.is_generic for p in pts):
         return ZSubset.whole()
     named = filtration.mentioned_primes()
-    fresh = filtration.fresh_prime()
     primes = {p.p for p in pts}
-    if fresh in primes:
+    if fresh_prime(named) in primes:
         return ZSubset.cofinite(named - primes)
     return ZSubset.finite(primes)
 
@@ -581,9 +563,48 @@ def _level_universe(spectrum, universe, cap):
     return all_up_sets(spectrum, cap=cap)
 
 
-def _pair_ok(filtration_spectrum, pairs, prev, lvl) -> bool:
+def _pair_ok(pairs, prev, lvl) -> bool:
     # weak Cousin on one transition: q in lvl forces p in prev
     return all(not lvl.contains(q) or prev.contains(p) for p, q in pairs)
+
+
+def _walk_census(spectrum, window, universe, cap, step_ok) -> list[SpFiltration]:
+    """The constants v with ``step_ok(v, v)`` and the decreasing window
+    chains with constant tail and empty head whose first level v passes
+    ``step_ok(v, v)`` and whose every transition passes
+    ``step_ok(prev, lvl)``; chains are pruned as they grow.  Duplicates
+    collapse under canonicalization."""
+    a, b = window
+    if b < a:
+        raise ValueError("empty census window")
+    values = _level_universe(spectrum, universe, cap)
+    if len(values) ** (b - a + 1) > cap:
+        raise ValueError(
+            f"census of size {len(values)}^{b - a + 1} exceeds cap {cap}"
+        )
+    empty = empty_subset(spectrum)
+    out: dict = {}
+
+    def add(f: SpFiltration):
+        out[str(f.to_json())] = f
+
+    for v in values:
+        if step_ok(v, v):
+            add(constant_filtration(spectrum, v))
+
+    def extend(chain):
+        if len(chain) == b - a + 1:
+            add(from_values(spectrum, dict(enumerate(chain, a)), chain[0], empty))
+            return
+        for v in values:
+            if not chain:
+                if step_ok(v, v):
+                    extend([v])
+            elif v.issubset(chain[-1]) and step_ok(chain[-1], v):
+                extend(chain + [v])
+
+    extend([])
+    return [out[k] for k in sorted(out)]
 
 
 def enumerate_census_class(
@@ -595,40 +616,7 @@ def enumerate_census_class(
     """Every filtration of the census representation class, Cousin or not:
     constants plus the decreasing window chains with constant tail and
     empty head.  The weak-Cousin census is the filtered sublist."""
-    a, b = window
-    if b < a:
-        raise ValueError("empty census window")
-    values = _level_universe(spectrum, universe, cap)
-    if len(values) ** (b - a + 1) > cap:
-        raise ValueError(
-            f"census of size {len(values)}^{b - a + 1} exceeds cap {cap}"
-        )
-    empty = empty_subset(spectrum)
-    out: dict = {}
-
-    def key(f: SpFiltration):
-        return str(f.to_json())
-
-    for v in values:
-        f = constant_filtration(spectrum, v)
-        out[key(f)] = f
-
-    def extend(chain):
-        if len(chain) == b - a + 1:
-            f = from_values(
-                spectrum,
-                {a + k: chain[k] for k in range(len(chain))},
-                chain[0],
-                empty,
-            )
-            out[key(f)] = f
-            return
-        for v in values:
-            if not chain or v.issubset(chain[-1]):
-                extend(chain + [v])
-
-    extend([])
-    return [out[k] for k in sorted(out)]
+    return _walk_census(spectrum, window, universe, cap, lambda prev, lvl: True)
 
 
 def enumerate_weak_cousin(
@@ -636,77 +624,22 @@ def enumerate_weak_cousin(
     window: tuple[int, int],
     universe=None,
     cap: int = 2_000_000,
-    modulo_translation: bool = False,
 ) -> list[SpFiltration]:
     """The census: every weak-Cousin filtration in the representation
     class "constant before the window, empty after it, or constant".
 
-    Enumerates decreasing level chains over the window with inline
-    Cousin pruning; duplicates collapse under canonicalization.  With
-    ``modulo_translation`` each shift class is reported once, by the
-    representative whose determined interval starts at 0.
+    The census class walk with inline Cousin pruning: a constant is kept
+    exactly when its value is open-closed, a chain when its first level
+    is and every transition passes.
 
     >>> P = FinPoset("pm", [("p", "m")])
     >>> len(enumerate_weak_cousin(P, (0, 1)))
     5
-    >>> len(enumerate_weak_cousin(P, (0, 1), modulo_translation=True))
-    4
     """
-    a, b = window
-    if b < a:
-        raise ValueError("empty census window")
-    values = _level_universe(spectrum, universe, cap)
-    if len(values) ** (b - a + 1) > cap:
-        raise ValueError(
-            f"census of size {len(values)}^{b - a + 1} exceeds cap {cap}"
-        )
-    if spectrum.is_specz:
-        named = sorted(set(int(p) for p in universe))
-        fresh = 2
-        while fresh in named:
-            fresh = next_prime(fresh)
-        pairs = [(SpecZPoint(GENERIC), SpecZPoint(q)) for q in named + [fresh]]
-    else:
-        pairs = sorted(spectrum.covers)
-    empty = empty_subset(spectrum)
-    out: dict = {}
-
-    def key(f: SpFiltration):
-        return str(f.to_json())
-
-    # constants: exactly the open-closed values
-    for v in values:
-        if _pair_ok(spectrum, pairs, v, v):
-            f = constant_filtration(spectrum, v)
-            out[key(f)] = f
-
-    # windowed: tail = first level (must be self-consistent), empty head
-    def extend(chain):
-        j = len(chain)
-        if j == b - a + 1:
-            f = from_values(
-                spectrum,
-                {a + k: chain[k] for k in range(len(chain))},
-                chain[0],
-                empty,
-            )
-            out[key(f)] = f
-            return
-        for v in values:
-            if not chain:
-                if _pair_ok(spectrum, pairs, v, v):
-                    extend([v])
-            elif v.issubset(chain[-1]) and _pair_ok(spectrum, pairs, chain[-1], v):
-                extend(chain + [v])
-
-    extend([])
-    if modulo_translation:
-        shifted = {}
-        for f in out.values():
-            rep = f if f.is_constant else f.shift(-f.determined_interval()[0])
-            shifted[key(rep)] = rep
-        out = shifted
-    census = [out[k] for k in sorted(out)]
+    pairs = _cover_pairs(spectrum, {int(p) for p in universe or ()})
+    census = _walk_census(
+        spectrum, window, universe, cap, lambda prev, lvl: _pair_ok(pairs, prev, lvl)
+    )
     for f in census:
         assert weak_cousin(f).holds
     return census

@@ -281,9 +281,6 @@ class FinPoset:
 
     # -- order calculus -----------------------------------------------------
 
-    def has_point(self, p: str) -> bool:
-        return p in self._below
-
     def check_point(self, p: str) -> str:
         if p not in self._below:
             raise ValueError(f"unknown point identifier: {p!r}")
@@ -343,13 +340,6 @@ class SpecZ:
     A singleton stand-in: the point set is infinite, so the class only
     offers the order calculus (generic point below every maximal ideal).
     """
-
-    def has_point(self, p) -> bool:
-        try:
-            zpoint(p)
-        except (ValueError, TypeError):
-            return False
-        return True
 
     def check_point(self, p) -> SpecZPoint:
         return zpoint(p)
@@ -549,17 +539,6 @@ class ZSubset:
             return ZSubset.cofinite(self.primes | other.primes)
         return ZSubset.finite(other.primes - self.primes)
 
-    def sample_prime(self) -> Optional[int]:
-        """Some maximal ideal in the subset, if one exists."""
-        if self.kind == "finite":
-            return min(self.primes) if self.primes else None
-        if self.kind == "cofinite":
-            p = 2
-            while p in self.primes:
-                p = next_prime(p)
-            return p
-        return 2
-
     def __repr__(self):
         if self.kind == "whole":
             return "ZSubset.whole()"
@@ -604,6 +583,45 @@ def empty_subset(spectrum):
     if spectrum.is_specz:
         return ZSubset.empty()
     return PosetSubset(spectrum, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# finite samples of Spec(Z)
+
+
+def fresh_prime(named) -> int:
+    """The least prime not in ``named``.
+
+    >>> fresh_prime({2, 3, 7})
+    5
+    """
+    p = 2
+    while p in named:
+        p = next_prime(p)
+    return p
+
+
+def sample_points(Z: ZSubset, named=frozenset()) -> tuple[SpecZPoint, ...]:
+    """Finitely many points of Z that stand for all of Z.
+
+    In order: the generic point if Z is whole, every prime named by Z
+    or by ``named`` that Z contains, and, unless Z is finite, the least
+    prime named by neither.  Every prime named by neither lies in Z
+    exactly when that fresh prime does, so a predicate that sees points
+    only through Z and the named primes holds on Z exactly when it holds
+    on the sample.
+
+    >>> [str(pt) for pt in sample_points(ZSubset.cofinite([2]), {3, 5})]
+    ['(3)', '(5)', '(7)']
+    >>> [str(pt) for pt in sample_points(ZSubset.whole())]
+    ['0', '(2)']
+    """
+    named = Z.primes.union(named)
+    pts = [zpoint(GENERIC)] if Z.is_whole else []
+    pts += [zpoint(p) for p in sorted(named) if Z.contains(p)]
+    if Z.kind != "finite":
+        pts.append(zpoint(fresh_prime(named)))
+    return tuple(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +676,8 @@ def is_open_closed(Z, spectrum=None):
     if isinstance(Z, ZSubset):
         if Z.is_whole or Z.is_empty:
             return True, None
-        p = Z.sample_prime()
-        return False, (SpecZPoint(p), SpecZPoint(GENERIC))
+        p = min(Z.primes) if Z.kind == "finite" else fresh_prime(Z.primes)
+        return False, (zpoint(p), zpoint(GENERIC))
     poset = Z.spectrum
     for (p, q) in sorted(poset.covers):
         if q in Z.points and p not in Z.points:

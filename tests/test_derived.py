@@ -13,6 +13,7 @@ from tstruct.derived import (
     q_localize,
     rgamma,
     rq,
+    stalk_maps_vanish,
     tau_filtration,
     tau_single,
     cousin_failure_witness,
@@ -250,6 +251,27 @@ def test_generator_reduction_fixtures():
     acyclic = FreeComplex(0, (1, 1), (((1,),),))
     rep = generator_reduction_crosscheck(acyclic, Z_STALK)
     assert rep.agree and rep.via_hom_complex
+
+
+def test_stalk_maps_vanish_fixtures():
+    # Z/2 -> Z: no Hom, but Ext^1 = Z/2, which counts only one degree up
+    Z2 = EM.cyclic_torsion(2, 1)
+    assert stalk_maps_vanish(Z2, 0, Z_STALK)
+    assert not stalk_maps_vanish(Z2, 1, Z_STALK)
+    assert not stalk_maps_vanish(EM.free(1), 0, Z_STALK)
+    assert stalk_maps_vanish(EM.free(1), -1, Z_STALK)
+    assert stalk_maps_vanish(Z2, 0, FormalObject.zero())
+
+
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 5, 7]), st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_stalk_maps_vanish_matches_orthogonality(seed, p, a):
+    # the generator of the single point (p) in degree a, read both ways
+    Y = random_formal_object(rng_from_seed(seed))
+    f = step_filtration(SPEC_Z, a, zf(p))
+    assert stalk_maps_vanish(EM.cyclic_torsion(p, 1), a, Y) == (
+        orthogonality_check(f, Y, (a, a)).holds
+    )
 
 
 def test_cousin_failure_witness_fixtures():

@@ -15,7 +15,6 @@ from tstruct.filtration import (
     enumerate_weak_cousin,
     from_values,
     localize,
-    make_filtration,
     meet,
     read_back,
     stabilization_report,
@@ -53,9 +52,9 @@ def test_make_and_canonicalize():
     const = constant_filtration(SPEC_Z, W)
     assert const.is_constant and const.length() == 0
     with pytest.raises(ValueError):
-        make_filtration(SPEC_Z, E, 0, (W,), E)  # not decreasing
+        SpFiltration(SPEC_Z, E, 0, (W,), E)  # not decreasing
     # redundant window entries collapse
-    g = make_filtration(SPEC_Z, W, 0, (W, W, zf(2), E, E), E)
+    g = SpFiltration(SPEC_Z, W, 0, (W, W, zf(2), E, E), E)
     assert g.start == 2 and g.levels == (zf(2),)
     assert g == from_values(SPEC_Z, {2: zf(2)}, W, E)
 
@@ -261,17 +260,6 @@ def test_census_class_contains_violators():
     keys = {str(f.to_json()) for f in census}
     violating = [f for f in allf if str(f.to_json()) not in keys]
     assert violating and all(not weak_cousin(f).holds for f in violating)
-
-
-def test_census_modulo_translation():
-    census = enumerate_weak_cousin(TWO_CHAIN, (0, 1), modulo_translation=True)
-    for f in census:
-        if not f.is_constant:
-            assert f.determined_interval()[0] == 0
-    # the plain census has two translates of the length-1 step, the reduced
-    # census keeps one representative
-    plain = enumerate_weak_cousin(TWO_CHAIN, (0, 1))
-    assert len(census) < len(plain)
 
 
 def test_meet_aisle_is_intersection_of_aisles():

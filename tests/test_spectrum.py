@@ -10,11 +10,13 @@ from tstruct.spectrum import (
     ZSubset,
     all_up_sets,
     connected_components,
+    fresh_prime,
     immediate_generalizations,
     is_open_closed,
     is_prime,
     krull_dimension,
     minimal_points,
+    sample_points,
     specialization_closure,
     spectrum_from_json,
     subset_from_json,
@@ -189,3 +191,52 @@ def test_json_round_trips():
 def test_up_set_invariant_rejected():
     with pytest.raises(ValueError):
         PosetSubset(CHAIN3, frozenset("a"))  # not closed upward
+
+
+# -- the finite sample of Spec(Z) ---------------------------------------------
+
+PRIMES_BELOW_30 = [p for p in range(30) if is_prime(p)]
+sample_prime_sets = st.frozensets(st.sampled_from(PRIMES_BELOW_30), max_size=6)
+sampled_subsets = st.one_of(
+    st.just(ZSubset.whole()),
+    sample_prime_sets.map(ZSubset.finite),
+    sample_prime_sets.map(ZSubset.cofinite),
+)
+
+
+def _reference_sample(level, named):
+    """The sample as first written for orthogonality witnesses: the
+    generic point of a whole level, the named primes it contains, and
+    the least unnamed prime unless the level is finite."""
+    pts = [SpecZPoint(0)] if level.is_whole else []
+    named = set(named) | set(level.primes)
+    pts += [SpecZPoint(p) for p in sorted(named) if level.contains(p)]
+    if level.is_whole or level.kind == "cofinite":
+        fresh = 2
+        while fresh in named:
+            fresh += 1
+            while not is_prime(fresh):
+                fresh += 1
+        pts.append(SpecZPoint(fresh))
+    return tuple(pts)
+
+
+@given(sampled_subsets, sample_prime_sets)
+@settings(max_examples=300, deadline=None)
+def test_sample_points_stand_for_the_subset(Z, named):
+    sample = sample_points(Z, named)
+    assert sample == _reference_sample(Z, named)
+    assert all(Z.contains(pt) for pt in sample)
+    assert (SpecZPoint(0) in sample) == Z.is_whole
+    fresh = fresh_prime(named | Z.primes)
+    for q in range(60):
+        if is_prime(q) and q not in named | Z.primes:
+            assert Z.contains(q) == Z.contains(fresh)
+
+
+@given(sample_prime_sets)
+@settings(max_examples=200, deadline=None)
+def test_fresh_prime_is_the_least_unnamed_prime(named):
+    p = fresh_prime(named)
+    assert is_prime(p) and p not in named
+    assert all(q in named for q in range(2, p) if is_prime(q))

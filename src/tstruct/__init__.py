@@ -19,7 +19,7 @@ from .spectrum import (  # noqa: F401
     SpecZPoint,
     ZSubset,
 )
-from .zmodules import FgZModule, FreeComplex, smith_normal_form  # noqa: F401
+from .zmodules import FreeComplex, smith_normal_form  # noqa: F401
 from .elementary import ElementaryModule  # noqa: F401
 from .filtration import SpFiltration  # noqa: F401
 from .derived import FormalObject, tau_filtration  # noqa: F401

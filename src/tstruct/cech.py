@@ -457,7 +457,7 @@ def _reduced_homology(ranks: tuple, diffs: tuple) -> tuple:
     """The integral homology ``((k, rank, torsion), ...)`` of a
     p-reduction, computed once however many blocks and primes share it."""
     return tuple(
-        (k, M.rank, M.torsion)
+        (k, M.free_rank, M.torsion)
         for k, M in homology(FreeComplex(0, ranks, diffs)).items()
     )
 

@@ -15,7 +15,7 @@ import random
 from .elementary import ElementaryModule
 from .derived import FormalObject
 from .spectrum import ZSubset
-from .zmodules import FgZModule, FreeComplex, direct_sum, identity, matmul
+from .zmodules import FreeComplex, direct_sum, identity, matmul
 
 DEFAULT_SEED = 987654321
 DEFAULT_PRIMES = (2, 3, 5)
@@ -33,12 +33,12 @@ def random_fg_module(
     max_rank: int = 2,
     max_exp: int = 3,
     max_pieces: int = 2,
-) -> FgZModule:
+) -> ElementaryModule:
     rank = rng.randint(0, max_rank)
     torsion = []
     for _ in range(rng.randint(0, max_pieces)):
         torsion.append((rng.choice(primes), rng.randint(1, max_exp), 1))
-    return FgZModule(rank, tuple(torsion))
+    return ElementaryModule(rank, torsion=tuple(torsion))
 
 
 def random_fg_object(
@@ -52,7 +52,7 @@ def random_fg_object(
     for d in degs:
         M = random_fg_module(rng, primes)
         if not M.is_zero:
-            graded.append((d, ElementaryModule.from_fg(M)))
+            graded.append((d, M))
     return FormalObject(tuple(graded))
 
 

@@ -32,7 +32,7 @@ from .elementary import ElementaryModule
 from .filtration import SpFiltration, canonical_filtration, from_values
 from .jsonio import integer
 from .spectrum import GENERIC, SPEC_Z, ZSubset, sample_points, zpoint
-from .zmodules import FgZModule, FreeComplex, homology, hom_ext_tables, hom_ext_vanish
+from .zmodules import FreeComplex, homology, hom_ext_tables, hom_ext_vanish
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,7 @@ class FormalObject:
     @staticmethod
     def cyclic_stalk(n: int, degree: int = 0) -> "FormalObject":
         """The stalk Z/n placed in one degree (Z itself for n = 0)."""
-        return FormalObject.stalk(
-            ElementaryModule.from_fg(FgZModule.cyclic(n)), degree
-        )
+        return FormalObject.stalk(ElementaryModule.cyclic(n), degree)
 
     def component(self, d: int) -> ElementaryModule:
         for dd, E in self.graded:
@@ -159,9 +157,7 @@ def from_free_complex(X: FreeComplex) -> FormalObject:
     >>> str(from_free_complex(FreeComplex.koszul([2])))
     '{0: Z/2}'
     """
-    return FormalObject(
-        tuple((d, ElementaryModule.from_fg(M)) for d, M in homology(X).items())
-    )
+    return FormalObject(tuple(homology(X).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +476,13 @@ def generator_reduction_crosscheck(X: FreeComplex, Y: FormalObject) -> Generator
     only finitely many shifts can contribute, so no window is needed.
     """
     H = homology(X)
-    cond1 = all(
-        stalk_maps_vanish(ElementaryModule.from_fg(Ma), a, Y) for a, Ma in H.items()
-    )
+    cond1 = all(stalk_maps_vanish(Ma, a, Y) for a, Ma in H.items())
     # minimal primes of each support: the generic point alone when the
     # rank is positive, otherwise the torsion primes themselves
     cond3 = all(
         stalk_maps_vanish(_generator_module(p), a, Y)
         for a, Ma in H.items()
-        for p in ([GENERIC] if Ma.rank > 0 else sorted(Ma.torsion_primes()))
+        for p in ([GENERIC] if Ma.free_rank > 0 else sorted(Ma.torsion_primes()))
     )
     return GeneratorReductionReport(cond1 == cond3, cond1, cond3)
 

@@ -25,7 +25,7 @@ from .derived import FormalObject, in_aisle, in_coaisle, rgamma, tau_single
 from .elementary import ElementaryModule
 from .filtration import SpFiltration, cm_filtration, dual_filtration, weak_cousin
 from .spectrum import SPEC_Z, CodimFn, ZSubset, sample_points, specialization_closure, zpoint
-from .zmodules import FgZModule, support, tor
+from .zmodules import support, tor
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,6 @@ def cm_membership(X: FormalObject) -> bool:
 # the finiteness predicates
 
 
-def _fg_support(E: ElementaryModule) -> ZSubset:
-    """Support of a finitely generated elementary module as an sp-subset."""
-    if E.free_rank > 0:
-        return ZSubset.whole()
-    return ZSubset.finite(E.torsion_primes())
-
-
 def kashiwara1_predicate(Z: ZSubset, X: FormalObject, n: int):
     """Three equivalent forms of "derived Z-torsion of X lives above n".
 
@@ -154,16 +147,16 @@ def kashiwara1_predicate(Z: ZSubset, X: FormalObject, n: int):
 
     c2 = True
     for k, Mk in DX.graded:
-        for q in sample_points(_fg_support(Mk), Mk.torsion_primes() | extra):
+        for q in sample_points(support(Mk), Mk.torsion_primes() | extra):
             for p in sample_points(Z, extra):
-                t0, t1 = tor(FgZModule.cyclic(q.p), FgZModule.cyclic(p.p))
+                t0, t1 = tor(ElementaryModule.cyclic(q.p), ElementaryModule.cyclic(p.p))
                 for i, ti in ((0, t0), (1, t1)):
                     if not support(ti).issubset(cm.value(k + n - i)):
                         c2 = False
 
     c3 = True
     for k, Mk in DX.graded:
-        if not Z.meet(_fg_support(Mk)).issubset(cm.value(k + n)):
+        if not Z.meet(support(Mk)).issubset(cm.value(k + n)):
             c3 = False
 
     if not (c1 == c2 == c3):
@@ -194,7 +187,7 @@ def kashiwara2_predicate(Z: ZSubset, X: FormalObject, n: int):
 
     c2 = True
     for k, Mk in DX.graded:
-        for q in sample_points(_fg_support(Mk), Mk.torsion_primes() | extra):
+        for q in sample_points(support(Mk), Mk.torsion_primes() | extra):
             if Z.contains(q):
                 continue
             closure = specialization_closure([q], SPEC_Z)

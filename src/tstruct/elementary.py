@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spectrum import ZSubset
+from .jsonio import integer
+from .spectrum import SPEC_Z, ZSubset, factorint, subset_from_json, zpoint
 
 
 def _set_key(s: ZSubset):
@@ -158,9 +159,21 @@ class ElementaryModule:
         return ElementaryModule._canonical(0, (), (), _one_set(primes, mult))
 
     @staticmethod
-    def from_fg(module) -> "ElementaryModule":
-        """Embed a finitely generated module given by rank and torsion."""
-        return ElementaryModule(free_rank=module.rank, torsion=tuple(module.torsion))
+    def cyclic(n: int) -> "ElementaryModule":
+        """Z/n, and Z itself for n = 0.
+
+        >>> ElementaryModule.cyclic(-12)
+        ElementaryModule(torsion=((2, 2, 1), (3, 1, 1)))
+        >>> ElementaryModule.cyclic(0), ElementaryModule.cyclic(1)
+        (ElementaryModule.free(1), ElementaryModule.zero())
+        """
+        if n == 0:
+            return ElementaryModule.free(1)
+        if n in (1, -1):
+            return _ZERO
+        # factorint lists distinct primes in ascending order: already canonical
+        torsion = tuple((p, e, 1) for p, e in factorint(n).items())
+        return ElementaryModule._canonical(0, (), torsion, ())
 
     # -- structure ------------------------------------------------------------
 
@@ -289,20 +302,29 @@ class ElementaryModule:
 
     @staticmethod
     def from_json(obj: dict) -> "ElementaryModule":
-        from .spectrum import subset_from_json, SPEC_Z
-
+        """Decode and check outside input: every count an integer, every
+        torsion prime a prime number, every exponent at least 1."""
         return ElementaryModule(
-            obj.get("free", 0),
+            integer(obj.get("free", 0), "free rank"),
             tuple(
-                (subset_from_json(e["inverted"], SPEC_Z), e["rank"])
+                (subset_from_json(e["inverted"], SPEC_Z), integer(e["rank"], "rank"))
                 for e in obj.get("localized", ())
             ),
-            tuple(tuple(t) for t in obj.get("torsion", ())),
+            tuple(_torsion_from_json(t) for t in obj.get("torsion", ())),
             tuple(
-                (subset_from_json(e["primes"], SPEC_Z), e["mult"])
+                (subset_from_json(e["primes"], SPEC_Z), integer(e["mult"], "multiplicity"))
                 for e in obj.get("prufer", ())
             ),
         )
+
+
+def _torsion_from_json(entry) -> tuple:
+    p, e, m = entry
+    if zpoint(integer(p, "torsion prime")).is_generic:
+        raise ValueError("a torsion prime must be a prime number, got 0")
+    if integer(e, "torsion exponent") < 1:
+        raise ValueError(f"a torsion exponent must be at least 1, got {e}")
+    return p, e, integer(m, "multiplicity")
 
 
 _ZERO = ElementaryModule()

@@ -530,14 +530,10 @@ def stalk_in_aisle(filtration: SpFiltration, point, i: int) -> bool:
     return closure.issubset(filtration.value(i))
 
 
-def read_back(filtration: SpFiltration, points=None) -> bool:
+def read_back(filtration: SpFiltration) -> bool:
     """Classification round trip: recovering each level from aisle
     membership of stalk generators returns the filtration unchanged."""
-    spec = filtration.spectrum
-    if spec.is_specz:
-        pts = list(_candidate_points(filtration))
-    else:
-        pts = list(spec.points) if points is None else list(points)
+    pts = list(_candidate_points(filtration))
     for j in filtration.check_range():
         lvl = filtration.value(j)
         for p in pts:

@@ -663,7 +663,7 @@ def immediate_generalizations(q, spectrum) -> frozenset:
     return frozenset(p for (p, qq) in spectrum.covers if qq == q)
 
 
-def is_open_closed(Z, spectrum=None):
+def is_open_closed(Z):
     """Is the sp-subset also stable under generalization?
 
     Returns ``(True, None)`` or ``(False, (q, p))`` where q lies in Z and
@@ -760,7 +760,7 @@ class CodimFn:
         return max(v for _, v in self.values)
 
 
-def validate_codim_fn(d: CodimFn, spectrum=None):
+def validate_codim_fn(d: CodimFn):
     """Check d(q) = d(p) + 1 across every covering pair.
 
     >>> P = FinPoset("ab", [("a", "b")])

@@ -27,7 +27,6 @@ from .derived import FormalObject, from_free_complex
 from .elementary import ElementaryModule
 from .spectrum import SPEC_Z, FinPoset, SpecZPoint, ZSubset
 from .zmodules import (
-    FgZModule,
     FreeComplex,
     homology,
     hom_ext_tables,
@@ -57,6 +56,14 @@ def _census_class_z():
     return tuple(
         filt.enumerate_census_class(SPEC_Z, Z_WINDOW, universe=DEFAULT_PRIMES, cap=_CENSUS_CAP)
     )
+
+
+@lru_cache(maxsize=1)
+def _cousin_violators_z():
+    """``(f, first weak-Cousin witness)`` for each census-class member
+    that violates the weak Cousin condition."""
+    reports = ((f, filt.weak_cousin(f)) for f in _census_class_z())
+    return tuple((f, rep.witnesses[0]) for f, rep in reports if not rep.holds)
 
 
 def _complex_pool(seed, count):
@@ -129,12 +136,9 @@ def criterion_cousin_necessity(seed=DEFAULT_SEED) -> dict:
     """Every census filtration violating the weak Cousin condition yields
     a truncation with non-finitely-generated vertices, and the chain
     oracle independently sees the divisible growth."""
-    violating = [
-        f for f in _census_class_z() if not filt.weak_cousin(f).holds
-    ]
+    violating = _cousin_violators_z()
     failures = []
-    for f in violating:
-        j, q, p = filt.weak_cousin(f).witnesses[0]
+    for f, (j, q, p) in violating:
         report = derived.cousin_failure_witness(p, q, j, f)
         if not report.holds:
             failures.append((str(f), "fg-vertex"))
@@ -217,9 +221,8 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
                 break
         if failures and len(failures) > 3:
             break
-    violating = [f for f in _census_class_z() if not filt.weak_cousin(f).holds]
-    for f in violating:
-        j, q, p = filt.weak_cousin(f).witnesses[0]
+    violating = _cousin_violators_z()
+    for f, (j, _, _) in violating:
         F = FormalObject.free_stalk(1, j - 1)
         if not cech.validate_tau_filtration(f, F).ok:
             failures.append((str(f), "tau-witness"))
@@ -525,7 +528,7 @@ def suite_zmodules(seed=DEFAULT_SEED) -> dict:
         X = random_free_complex(rng)
         H = homology(X)
         lhs = sum((1 if d % 2 == 0 else -1) * X.rank_at(d) for d in X.degrees())
-        rhs = sum((1 if d % 2 == 0 else -1) * M.rank for d, M in H.items())
+        rhs = sum((1 if d % 2 == 0 else -1) * M.free_rank for d, M in H.items())
         if lhs != rhs:
             failures.append((k, "rank-nullity"))
     # Koszul: homology supported in the vanishing locus, degree 0 as stated
@@ -537,32 +540,23 @@ def suite_zmodules(seed=DEFAULT_SEED) -> dict:
         for a in elems:
             ideal = gcd(ideal, a)
         H = homology(K)
-        locus = support(FgZModule.cyclic(ideal))
+        locus = support(ElementaryModule.cyclic(ideal))
         for d, M in H.items():
             if not support(M).issubset(locus):
                 failures.append((elems, d, "koszul-support"))
-        if H.get(0, FgZModule.zero()) != FgZModule.cyclic(ideal):
+        if H.get(0, ElementaryModule.zero()) != ElementaryModule.cyclic(ideal):
             failures.append((elems, "koszul-h0"))
     # Hom/Ext tables versus elementwise brute force on cyclic pairs
     powers = [p**e for p in (2, 3, 5, 7) for e in range(1, 11) if p**e <= 1024]
     for a in powers:
         for b in powers:
-            hom, ext = hom_ext_tables(
-                ElementaryModule.from_fg(FgZModule.cyclic(a)),
-                ElementaryModule.from_fg(FgZModule.cyclic(b)),
-            )
-            from math import gcd
-
-            want = FgZModule.cyclic(gcd(a, b))
-            got_h = FgZModule(hom.free_rank, hom.torsion)
-            got_x = FgZModule(ext.free_rank, ext.torsion)
-            if got_h != want or got_x != want:
+            hom, ext = hom_ext_tables(ElementaryModule.cyclic(a), ElementaryModule.cyclic(b))
+            want = ElementaryModule.cyclic(gcd(a, b))
+            if hom != want or ext != want:
                 failures.append((a, b, "cyclic-table"))
         # Ext into Z is the cyclic group itself
-        _, ext = hom_ext_tables(
-            ElementaryModule.from_fg(FgZModule.cyclic(a)), ElementaryModule.free(1)
-        )
-        if FgZModule(ext.free_rank, ext.torsion) != FgZModule.cyclic(a):
+        _, ext = hom_ext_tables(ElementaryModule.cyclic(a), ElementaryModule.free(1))
+        if ext != ElementaryModule.cyclic(a):
             failures.append((a, "ext-into-Z"))
     return {"suite": "zmodules", "ok": not failures, "failures": failures[:5]}
 
@@ -709,7 +703,7 @@ def _radical(m: int) -> int:
 
 def _coaisle_against_cyclic(Y: FormalObject, m: int) -> tuple:
     """Vanishing pattern of maps from shifts of Z/m into Y."""
-    G = ElementaryModule.from_fg(FgZModule.cyclic(m))
+    G = ElementaryModule.cyclic(m)
     return tuple(derived.stalk_maps_vanish(G, i, Y) for i in range(-4, 5))
 
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over Z.
 
 Smith normal form with unimodular transforms, bounded complexes of
-finite free Z-modules, their homology in structure-theorem normal form
-(read off the invariant factors of the differentials, one Smith normal
-form each), supports, and the Hom/Ext/Tor tables for elementary
+finite free Z-modules, their homology as finitely generated elementary
+modules (read off the invariant factors of the differentials, one Smith
+normal form each), supports, and the Hom/Ext/Tor tables for elementary
 modules.  All arithmetic is exact (Python integers).
 """
 
@@ -260,108 +260,35 @@ def snf_invariants(M: Matrix) -> list[int]:
 # finitely generated modules
 
 
-@dataclass(frozen=True)
-class FgZModule:
-    """A finitely generated Z-module in structure-theorem normal form.
-
-    ``torsion`` lists (p, e, multiplicity) for the cyclic factors Z/p^e,
-    sorted; equality of values is isomorphism of modules.
-
-    >>> FgZModule.from_invariant_factors([2, 6]) == FgZModule(0, ((2, 1, 2), (3, 1, 1)))
-    True
-    """
-
-    rank: int = 0
-    torsion: tuple = ()  # ((p, e, mult), ...)
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("negative rank")
-        acc: dict = {}
-        for p, e, m in self.torsion:
-            if e < 1 or m < 1:
-                raise ValueError(f"bad torsion entry {(p, e, m)!r}")
-            acc[(p, e)] = acc.get((p, e), 0) + m
-        object.__setattr__(
-            self, "torsion", tuple((p, e, m) for (p, e), m in sorted(acc.items()))
-        )
-
-    @staticmethod
-    def zero() -> "FgZModule":
-        return FgZModule()
-
-    @staticmethod
-    def free(rank: int) -> "FgZModule":
-        return FgZModule(rank=rank)
-
-    @staticmethod
-    def cyclic(n: int) -> "FgZModule":
-        """Z/n (Z itself for n = 0)."""
-        if n == 0:
-            return FgZModule(rank=1)
-        n = abs(n)
-        if n == 1:
-            return FgZModule()
-        return FgZModule(0, tuple((p, e, 1) for p, e in factorint(n).items()))
-
-    @staticmethod
-    def from_invariant_factors(factors) -> "FgZModule":
-        rank = 0
-        tors = []
-        for d in factors:
-            d = abs(d)
-            if d == 0:
-                rank += 1
-            elif d > 1:
-                tors.extend((p, e, 1) for p, e in factorint(d).items())
-        return FgZModule(rank, tuple(tors))
-
-    def direct_sum(self, other: "FgZModule") -> "FgZModule":
-        return FgZModule(self.rank + other.rank, self.torsion + other.torsion)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
-    def torsion_primes(self) -> frozenset[int]:
-        return frozenset(p for p, _, _ in self.torsion)
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        if self.rank:
-            bits.append("Z" + (f"^{self.rank}" if self.rank > 1 else ""))
-        for p, e, m in self.torsion:
-            bits.append(f"Z/{p**e}" + (f"^{m}" if m > 1 else ""))
-        return " + ".join(bits)
-
-
-def support(M: FgZModule) -> ZSubset:
+def support(M: ElementaryModule) -> ZSubset:
     """Support of a finitely generated module in Spec(Z).
 
-    >>> support(FgZModule.cyclic(12))
+    >>> support(ElementaryModule.cyclic(12))
     ZSubset.finite([2, 3])
-    >>> support(FgZModule.free(1))
+    >>> support(ElementaryModule.free(1))
     ZSubset.whole()
     """
-    if M.rank > 0:
+    if not M.is_fg:
+        # a localized or Pruefer module's support is no sp-subset
+        raise ValueError("support of a module that is not finitely generated")
+    if M.free_rank > 0:
         return ZSubset.whole()
     return ZSubset.finite(M.torsion_primes())
 
 
-def tor(A: FgZModule, B: FgZModule) -> tuple[FgZModule, FgZModule]:
-    """(Tor_0, Tor_1) = (A (x) B, Tor_1(A, B)) over the PID Z.
+def tor(A: ElementaryModule, B: ElementaryModule) -> tuple[ElementaryModule, ElementaryModule]:
+    """(Tor_0, Tor_1) = (A (x) B, Tor_1(A, B)) over the PID Z, for
+    finitely generated A and B.
 
     Tor_0(Z/a, Z/b) = Tor_1(Z/a, Z/b) = Z/gcd(a, b), extended bilinearly;
     Tor_1 vanishes against free factors.
 
-    >>> t0, t1 = tor(FgZModule.cyclic(4), FgZModule.cyclic(6))
+    >>> t0, t1 = tor(ElementaryModule.cyclic(4), ElementaryModule.cyclic(6))
     >>> str(t0), str(t1)
     ('Z/2', 'Z/2')
     """
-    tor0 = [(p, e, m) for p, e, m in A.torsion for _ in range(B.rank)]
-    tor0 += [(p, e, m) for p, e, m in B.torsion for _ in range(A.rank)]
+    tor0 = [(p, e, m) for p, e, m in A.torsion for _ in range(B.free_rank)]
+    tor0 += [(p, e, m) for p, e, m in B.torsion for _ in range(A.free_rank)]
     tor1 = []
     for p, e, m in A.torsion:
         for q, f, mm in B.torsion:
@@ -369,8 +296,8 @@ def tor(A: FgZModule, B: FgZModule) -> tuple[FgZModule, FgZModule]:
                 tor0.append((p, min(e, f), m * mm))
                 tor1.append((p, min(e, f), m * mm))
     return (
-        FgZModule(A.rank * B.rank, tuple(tor0)),
-        FgZModule(0, tuple(tor1)),
+        ElementaryModule(A.free_rank * B.free_rank, torsion=tuple(tor0)),
+        ElementaryModule(torsion=tuple(tor1)),
     )
 
 
@@ -463,7 +390,7 @@ class FreeComplex:
         its degree-0 homology is Z/(a_1, ..., a_r).
 
         >>> homology(FreeComplex.koszul([2]))[0]
-        FgZModule(rank=0, torsion=((2, 1, 1),))
+        ElementaryModule(torsion=((2, 1, 1),))
         """
         out = FreeComplex.stalk_free(1, 0)
         for a in elements:
@@ -492,8 +419,11 @@ class FreeComplex:
     def from_json(obj: dict) -> "FreeComplex":
         return FreeComplex(
             integer(obj.get("minDeg", 0), "minDeg"),
-            tuple(obj.get("ranks", ())),
-            tuple(tuple(tuple(row) for row in M) for M in obj.get("diffs", ())),
+            tuple(integer(r, "rank") for r in obj.get("ranks", ())),
+            tuple(
+                tuple(tuple(integer(x, "matrix entry") for x in row) for row in M)
+                for M in obj.get("diffs", ())
+            ),
         )
 
 
@@ -586,8 +516,9 @@ def tensor(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
 # homology
 
 
-def homology(X: FreeComplex) -> dict[int, FgZModule]:
-    """Degreewise homology ker d / im d in normal form.
+def homology(X: FreeComplex) -> dict[int, ElementaryModule]:
+    """Degreewise homology ker d / im d, each a finitely generated
+    elementary module.
 
     One Smith normal form per differential fixes every degree: H^d is
     free of rank ``n_d - rk d_d - rk d_{d-1}`` plus one ``Z/s`` per
@@ -596,20 +527,20 @@ def homology(X: FreeComplex) -> dict[int, FgZModule]:
     saturated (its quotient embeds in the free target of ``d_d``).
 
     >>> H = homology(FreeComplex.koszul([2]))
-    >>> str(H.get(0, FgZModule.zero())), str(H.get(-1, FgZModule.zero()))
+    >>> str(H.get(0, ElementaryModule.zero())), str(H.get(-1, ElementaryModule.zero()))
     ('Z/2', '0')
     """
     # nonzero invariant factors of the differential leaving each degree
     factors = {
         d: [f for f in snf_invariants(X.diff_at(d)) if f] for d in X.degrees()[:-1]
     }
-    out: dict[int, FgZModule] = {}
+    out: dict[int, ElementaryModule] = {}
     for d in X.degrees():
         into = factors.get(d - 1, ())
         rank = X.rank_at(d) - len(factors.get(d, ())) - len(into)
         tors = [(p, e, 1) for f in into if f != 1 for p, e in factorint(f).items()]
         if rank or tors:
-            out[d] = FgZModule(rank, tuple(tors))
+            out[d] = ElementaryModule(rank, torsion=tuple(tors))
     return out
 
 
@@ -633,10 +564,10 @@ def top_indices(X: FreeComplex, p) -> tuple:
     pt = zpoint(p)
     H = homology(X)
     if pt.is_generic:
-        m = max((d for d, M in H.items() if M.rank > 0), default=NEG_INF)
+        m = max((d for d, M in H.items() if M.free_rank > 0), default=NEG_INF)
     else:
         m = max(
-            (d for d, M in H.items() if M.rank > 0 or pt.p in M.torsion_primes()),
+            (d for d, M in H.items() if M.free_rank > 0 or pt.p in M.torsion_primes()),
             default=NEG_INF,
         )
     h = NEG_INF

@@ -466,7 +466,7 @@ def _p_rows_reference(B, p):
         ),
     )
     rows = (
-        (k, M.rank, tuple((e, m) for q, e, m in M.torsion if q == p))
+        (k, M.free_rank, tuple((e, m) for q, e, m in M.torsion if q == p))
         for k, M in homology(K).items()
     )
     return tuple(row for row in rows if row[1] or row[2])

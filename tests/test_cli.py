@@ -140,6 +140,11 @@ def run_process(*argv):
     )
 
 
+def _module(atoms):
+    """A formal object with one elementary module in degree 0."""
+    return {"graded": [[0, atoms]]}
+
+
 @pytest.mark.parametrize(
     "payload, argv",
     [
@@ -154,11 +159,31 @@ def run_process(*argv):
         ({"ranks": [], "diffs": [[[1]]]}, ("truncate", "-f", "F", "-x", "{}")),
         ({"minDeg": 0.5, "ranks": [1], "diffs": []}, ("cm-check", "-x", "{}")),
         ({**REPEATED_LEVEL, "window": {"start": None}}, ("check-cousin", "-f", "{}")),
+        (_module({"torsion": [["2", 1, 1]]}), ("truncate", "-f", "F", "-x", "{}", "--engine", "both")),
+        (_module({"torsion": [["2", 1, 1]]}), ("truncate", "-f", "F", "-x", "{}")),
+        (_module({"torsion": [[4, 1, 1]]}), ("truncate", "-f", "F", "-x", "{}")),
+        (_module({"torsion": [[4, 1, 1]]}), ("member", "-f", "F", "-x", "{}", "--side", "aisle")),
+        (_module({"torsion": [[4, 1, 1]]}), ("truncate", "-f", "F", "-x", "{}", "--engine", "both")),
+        (_module({"torsion": [[0, 1, 1]]}), ("member", "-f", "F", "-x", "{}", "--side", "aisle")),
+        (_module({"torsion": [[2, 0, 0]]}), ("truncate", "-f", "F", "-x", "{}")),
+        (_module({"torsion": [[2, 1.0, 1]]}), ("truncate", "-f", "F", "-x", "{}")),
+        (_module({"free": True}), ("truncate", "-f", "F", "-x", "{}")),
+        (_module({"prufer": [{"primes": {"kind": "finite", "primes": [2]}, "mult": "1"}]}),
+         ("member", "-f", "F", "-x", "{}", "--side", "coaisle")),
+        ({"minDeg": 0, "ranks": [1.7], "diffs": []}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"minDeg": 0, "ranks": ["1"], "diffs": []}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"minDeg": 0, "ranks": [True], "diffs": []}, ("cm-check", "-x", "{}")),
+        ({"minDeg": -1, "ranks": [1, 1], "diffs": [[["2"]]]}, ("truncate", "-f", "F", "-x", "{}")),
     ],
     ids=["census-spectrum-empty", "census-spectrum-int", "census-spectrum-null-id",
          "kashiwara-subset-int", "cm-codim-int", "graded-degree-str",
          "graded-degree-float", "graded-degree-bool", "complex-diffs-without-ranks",
-         "complex-min-degree-float", "filtration-start-null"],
+         "complex-min-degree-float", "filtration-start-null",
+         "torsion-prime-str-both", "torsion-prime-str-profile", "torsion-prime-4-truncate",
+         "torsion-prime-4-member", "torsion-prime-4-both", "torsion-prime-0",
+         "torsion-exponent-0", "torsion-exponent-float", "free-rank-bool",
+         "prufer-mult-str", "complex-rank-float", "complex-rank-str", "complex-rank-bool",
+         "complex-entry-str"],
 )
 def test_malformed_payload_is_usage_error(files, payload, argv):
     bad = files("bad.json", payload)
@@ -169,6 +194,18 @@ def test_malformed_payload_is_usage_error(files, payload, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: bad ")
+
+
+def test_long_integers_as_decimal_strings_are_accepted(files, capsys):
+    # integers beyond 53 bits travel as decimal strings and decode first
+    big = str(2**61 - 1)
+    f = files("f.json", REPEATED_LEVEL)
+    for payload in (_module({"torsion": [[big, 1, 1]]}),
+                    {"minDeg": -1, "ranks": [1, 1], "diffs": [[[big]]]}):
+        x = files("x.json", payload)
+        code, out = run(capsys, "truncate", "-f", f, "-x", x)
+        assert code == 0
+        assert out["lower"]["graded"] == []  # Z/(2^61 - 1) lies in the co-aisle
 
 
 SPEC_Z_CANONICAL = {

@@ -305,7 +305,7 @@ def test_localization_membership_is_pointwise():
 
 def test_radical_invariance_of_generators():
     # generators for an ideal and for its radical see the same objects
-    from tstruct.zmodules import FgZModule, hom_ext_tables
+    from tstruct.zmodules import hom_ext_tables
 
     targets = [
         FormalObject.stalk(EM.localized_free(zf(2), 1), 0),
@@ -318,7 +318,7 @@ def test_radical_invariance_of_generators():
             for i in range(-3, 4):
                 verdicts = []
                 for gen in (m, rad):
-                    G = EM.from_fg(FgZModule.cyclic(gen))
+                    G = EM.cyclic(gen)
                     ok = True
                     for b, comp in Y.graded:
                         hom, ext = hom_ext_tables(G, comp)

@@ -1,6 +1,7 @@
 """Elementary modules: the named constructors and ``+`` agree with the
 public constructor, which canonicalizes and validates every argument."""
 
+import operator
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tstruct.corpus import random_formal_object
 from tstruct.elementary import ElementaryModule as EM
-from tstruct.spectrum import ZSubset
+from tstruct.spectrum import ZSubset, factorint
 
 PRIMES = (2, 3, 5, 7)
 
@@ -16,6 +17,12 @@ prime_sets = st.builds(
     lambda kind, ps: ZSubset.finite(ps) if kind == "finite" else ZSubset.cofinite(ps),
     st.sampled_from(["finite", "cofinite"]),
     st.lists(st.sampled_from(PRIMES), max_size=3),
+)
+
+MERSENNE_61 = 2**61 - 1
+# Z/n for small n and for products with a 61-bit prime and its square
+cyclic_orders = st.builds(
+    operator.mul, st.integers(-(10**4), 10**4), st.sampled_from([1, MERSENNE_61, MERSENNE_61**2])
 )
 
 # one atom as (named constructor, its arguments); multiplicities may be 0
@@ -27,6 +34,7 @@ atoms = st.one_of(
         st.tuples(st.sampled_from(PRIMES), st.integers(1, 3), st.integers(0, 3)),
     ),
     st.tuples(st.just(EM.prufer_sum), st.tuples(prime_sets, st.integers(0, 3))),
+    st.tuples(st.just(EM.cyclic), st.tuples(cyclic_orders)),
 )
 
 
@@ -39,6 +47,11 @@ def public(ctor, args) -> EM:
         return EM(free_rank=r) if s.is_empty else EM(localized=((s, r),))
     if ctor is EM.cyclic_torsion:
         return EM(torsion=(args,))
+    if ctor is EM.cyclic:
+        (n,) = args
+        if n == 0:
+            return EM(free_rank=1)
+        return EM(torsion=tuple((p, e, 1) for p, e in factorint(n).items()))
     return EM(prufer=(args,))
 
 

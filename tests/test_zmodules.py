@@ -7,7 +7,6 @@ from tstruct.corpus import random_formal_object, random_free_complex, rng_from_s
 from tstruct.elementary import ElementaryModule
 from tstruct.spectrum import ZSubset, factorint
 from tstruct.zmodules import (
-    FgZModule,
     FreeComplex,
     NEG_INF,
     UnsupportedPairError,
@@ -99,14 +98,14 @@ def reference_homology(X: FreeComplex) -> dict:
             D, _, _ = smith_normal_form(C)
             facs = [D[i][i] for i in range(min(mat_shape(D)))]
         tors = [(p, e, 1) for f in facs if f > 1 for p, e in factorint(f).items()]
-        H = FgZModule(kdim - sum(1 for f in facs if f), tuple(tors))
+        H = ElementaryModule(kdim - sum(1 for f in facs if f), torsion=tuple(tors))
         if not H.is_zero:
             out[d] = H
     return out
 
 
-def order(M: FgZModule) -> int:
-    assert M.rank == 0
+def order(M: ElementaryModule) -> int:
+    assert M.is_fg and M.free_rank == 0
     out = 1
     for p, e, m in M.torsion:
         out *= p ** (e * m)
@@ -162,20 +161,31 @@ def test_snf_big_entries_stay_exact():
 
 
 def test_normal_form_equality_is_isomorphism():
-    assert FgZModule.from_invariant_factors([2, 6]) == FgZModule.cyclic(12).direct_sum(
-        FgZModule.zero()
-    ) or True
-    assert FgZModule.cyclic(6) == FgZModule(0, ((2, 1, 1), (3, 1, 1)))
-    assert FgZModule.cyclic(8) != FgZModule(0, ((2, 1, 3),))
-    assert FgZModule.from_invariant_factors([0, 4, 2]) == FgZModule(
-        1, ((2, 1, 1), (2, 2, 1))
-    )
+    C = ElementaryModule.cyclic
+    assert C(2) + C(6) != C(12)
+    assert C(12) == C(4) + C(3)
+    assert C(2) + C(6) == ElementaryModule(torsion=((2, 1, 2), (3, 1, 1)))
+    assert C(6) == ElementaryModule(torsion=((2, 1, 1), (3, 1, 1)))
+    assert C(8) != ElementaryModule(torsion=((2, 1, 3),))
+    assert C(0) + C(4) + C(2) == ElementaryModule(1, torsion=((2, 1, 1), (2, 2, 1)))
 
 
 def test_support():
-    assert support(FgZModule.cyclic(4).direct_sum(FgZModule.cyclic(3))) == ZSubset.finite([2, 3])
-    assert support(FgZModule(1, ((2, 1, 1),))) == ZSubset.whole()
-    assert support(FgZModule.zero()) == ZSubset.empty()
+    C = ElementaryModule.cyclic
+    assert support(C(4) + C(3)) == ZSubset.finite([2, 3])
+    assert support(ElementaryModule(1, torsion=((2, 1, 1),))) == ZSubset.whole()
+    assert support(ElementaryModule.zero()) == ZSubset.empty()
+
+
+@pytest.mark.parametrize("M", [
+    ElementaryModule.localized_free(ZSubset.finite([2]), 1),
+    ElementaryModule.localized_free(ZSubset.cofinite([3]), 1) + ElementaryModule.free(1),
+    ElementaryModule.prufer_sum(ZSubset.finite([2]), 1),
+    ElementaryModule.prufer_sum(ZSubset.cofinite([]), 1) + ElementaryModule.cyclic(6),
+])
+def test_support_rejects_non_fg_modules(M):
+    with pytest.raises(ValueError):
+        support(M)
 
 
 # -- homology -----------------------------------------------------------------
@@ -184,10 +194,10 @@ def test_support():
 def test_homology_fixtures():
     K = FreeComplex.koszul([2])
     H = homology(K)
-    assert H == {0: FgZModule.cyclic(2)}
-    assert homology(FreeComplex.stalk_free(1, 0)) == {0: FgZModule.free(1)}
+    assert H == {0: ElementaryModule.cyclic(2)}
+    assert homology(FreeComplex.stalk_free(1, 0)) == {0: ElementaryModule.free(1)}
     X = FreeComplex(0, (1, 1), (((0,),),))
-    assert homology(X) == {0: FgZModule.free(1), 1: FgZModule.free(1)}
+    assert homology(X) == {0: ElementaryModule.free(1), 1: ElementaryModule.free(1)}
 
 
 def test_homology_vs_brute_force_kernel_image():
@@ -196,11 +206,11 @@ def test_homology_vs_brute_force_kernel_image():
     X = FreeComplex(0, (2, 2, 2), (((2, 0), (0, 0)), ((0, 0), (0, 3))))
     H = homology(X)
     # middle degree: ker = <e1>, image = <2 e1>: Z/2
-    assert H[1] == FgZModule.cyclic(2)
+    assert H[1] == ElementaryModule.cyclic(2)
     # left: ker of the first map = <e2>: Z
-    assert H[0] == FgZModule.free(1)
+    assert H[0] == ElementaryModule.free(1)
     # right: coker of [[0,0],[0,3]] restricted to kernel of 0: Z + Z/3
-    assert H[2] == FgZModule(1, ((3, 1, 1),))
+    assert H[2] == ElementaryModule(1, torsion=((3, 1, 1),))
 
 
 seeded_complexes = st.integers(0, 2**32 - 1).map(
@@ -223,6 +233,16 @@ def test_homology_matches_kernel_image_reference(A, B, k):
         assert homology(X) == reference_homology(X), X
 
 
+@given(seeded_complexes)
+@settings(max_examples=200, deadline=None)
+def test_homology_values_are_canonical_fg_modules(X):
+    # each value equals the public constructor on its own atoms, so its
+    # torsion is merged and sorted and equality is isomorphism
+    for M in homology(X).values():
+        assert M.is_fg and not M.is_zero
+        assert M == ElementaryModule(M.free_rank, torsion=M.torsion), X
+
+
 def test_dd_zero_enforced():
     with pytest.raises(ValueError):
         FreeComplex(0, (1, 1, 1), (((1,),), ((1,),)))
@@ -232,14 +252,14 @@ def test_tensor_koszul():
     K = tensor(FreeComplex.koszul([2]), FreeComplex.koszul([3]))
     assert homology(K) == homology(FreeComplex.koszul([2, 3]))
     assert homology(FreeComplex.koszul([2, 3])) == {}
-    assert homology(FreeComplex.koszul([4, 6]))[0] == FgZModule.cyclic(2)
+    assert homology(FreeComplex.koszul([4, 6]))[0] == ElementaryModule.cyclic(2)
 
 
 def test_rank_nullity():
     X = direct_sum(FreeComplex.koszul([4, 6]), FreeComplex.stalk_free(2, 1))
     H = homology(X)
     lhs = sum((1 if d % 2 == 0 else -1) * X.rank_at(d) for d in X.degrees())
-    rhs = sum((1 if d % 2 == 0 else -1) * M.rank for d, M in H.items())
+    rhs = sum((1 if d % 2 == 0 else -1) * M.free_rank for d, M in H.items())
     assert lhs == rhs
 
 
@@ -250,14 +270,10 @@ def test_hom_ext_vs_brute_force_cyclic():
     values = [p**e for p in (2, 3, 5, 7) for e in range(1, 11) if p**e <= 1024]
     for a in values[::3] + [1024, 2, 3]:
         for b in values[::4] + [8, 9, 625]:
-            hom, ext = hom_ext_tables(
-                ElementaryModule.from_fg(FgZModule.cyclic(a)),
-                ElementaryModule.from_fg(FgZModule.cyclic(b)),
-            )
+            hom, ext = hom_ext_tables(ElementaryModule.cyclic(a), ElementaryModule.cyclic(b))
             bh, bx = brute_hom_ext_cyclic(a, b)
-            assert order(FgZModule(0, hom.torsion)) == bh
-            assert order(FgZModule(0, ext.torsion)) == bx
-            assert hom.free_rank == ext.free_rank == 0
+            assert order(hom) == bh
+            assert order(ext) == bx
 
 
 def test_hom_ext_frozen_values():
@@ -334,21 +350,19 @@ def test_hom_ext_vanish_rejects_non_fg_sources():
 
 
 def test_tor():
-    t0, t1 = tor(FgZModule.cyclic(4), FgZModule.cyclic(6))
-    assert t0 == FgZModule.cyclic(2) and t1 == FgZModule.cyclic(2)
+    C = ElementaryModule.cyclic
+    t0, t1 = tor(C(4), C(6))
+    assert t0 == C(2) and t1 == C(2)
     assert order(t1) == brute_tor1_cyclic(4, 6)
-    M = FgZModule(2, ((5, 1, 1),))
-    assert tor(FgZModule.free(1), M) == (M, FgZModule.zero())
-    assert tor(FgZModule.cyclic(2), FgZModule.cyclic(3)) == (
-        FgZModule.zero(),
-        FgZModule.zero(),
-    )
+    M = ElementaryModule(2, torsion=((5, 1, 1),))
+    assert tor(ElementaryModule.free(1), M) == (M, ElementaryModule.zero())
+    assert tor(C(2), C(3)) == (ElementaryModule.zero(), ElementaryModule.zero())
 
 
 @given(st.integers(2, 200), st.integers(2, 200))
 @settings(max_examples=80, deadline=None)
 def test_tor_cyclic_matches_brute_force(a, b):
-    t0, t1 = tor(FgZModule.cyclic(a), FgZModule.cyclic(b))
+    t0, t1 = tor(ElementaryModule.cyclic(a), ElementaryModule.cyclic(b))
     assert order(t0) == gcd(a, b) == order(t1)
 
 

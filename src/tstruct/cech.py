@@ -2,12 +2,11 @@
 
 The oracle never trusts the atom calculus of the derived engine.  It
 represents honest complexes whose terms are finite direct sums of
-localizations ``Z[1/m]`` (m a product of the primes in a finite label
-set), builds derived torsion for a finite set of maximal ideals
-{(p_1), ..., (p_k)} as a tensor with the stable Koszul complex of the
-single defining element,
+localizations ``Z[1/S]``, one ``ZSubset`` S of inverted primes (finite
+or cofinite) per summand, builds derived torsion for a set Z of maximal
+ideals as a tensor with the stable Koszul complex
 
-    Z -> Z[1/(p_1 ... p_k)],
+    Z -> Z[1/Z],
 
 localization as the cone of its augmentation, and then *observes* the
 result: rational ranks by rank-nullity over Q, and for each prime p of
@@ -56,7 +55,7 @@ from functools import lru_cache
 from .derived import FormalObject, from_free_complex, rgamma, rq, tau_single
 from .elementary import ElementaryModule
 from .filtration import SpFiltration
-from .spectrum import ZSubset
+from .spectrum import ZSubset, fresh_prime
 from .zmodules import (
     FreeComplex,
     homology,
@@ -67,31 +66,32 @@ from .zmodules import (
 )
 
 
-class OracleScopeError(ValueError):
-    """The oracle only models finite prime sets and whole-spectrum levels."""
-
-
 # ---------------------------------------------------------------------------
 # complexes of sums of localizations
+
+_RING = ZSubset.empty()  # the label of a plain Z summand: nothing inverted
 
 
 @dataclass(frozen=True)
 class LocFreeComplex:
-    """A bounded complex whose degree-d term is a finite sum of Z[1/m].
+    """A bounded complex whose degree-d term is a finite sum of Z[1/S].
 
-    ``labels[k]`` lists one frozenset of inverted primes per summand of
-    degree ``min_degree + k``; ``diffs[k]`` is an integer matrix mapping
+    ``labels[k]`` lists one ``ZSubset`` S of inverted primes, finite or
+    cofinite, per summand Z[1/S] of degree ``min_degree + k`` (the empty
+    S for Z itself).  ``diffs[k]`` is an integer matrix mapping
     degree min_degree+k to the next degree (columns index the source).
     A nonzero entry requires the source label to be contained in the
     target label, so that multiplication lands where it should.
     """
 
     min_degree: int = 0
-    labels: tuple = ()  # per degree: tuple of frozenset[int]
+    labels: tuple = ()  # per degree: tuple of ZSubset
     diffs: tuple = ()
 
     def __post_init__(self):
-        labels = tuple(tuple(frozenset(l) for l in row) for row in self.labels)
+        labels = tuple(map(tuple, self.labels))
+        if not all(isinstance(s, ZSubset) and not s.is_whole for r in labels for s in r):
+            raise ValueError("a label must be a finite or cofinite ZSubset")
         diffs = tuple(
             tuple(tuple(int(x) for x in row) for row in M) for M in self.diffs
         )
@@ -116,7 +116,7 @@ class LocFreeComplex:
                 raise ValueError(f"differential {k} has wrong shape")
             for i in range(rows):
                 for j in range(cols):
-                    if M[i][j] and not labels[k][j] <= labels[k + 1][i]:
+                    if M[i][j] and not labels[k][j].issubset(labels[k + 1][i]):
                         raise ValueError(
                             "nonzero entry from a more-inverted into a "
                             "less-inverted summand"
@@ -170,13 +170,13 @@ class LocFreeComplex:
     @staticmethod
     def unit() -> "LocFreeComplex":
         """The ring as a one-term complex in degree 0."""
-        return LocFreeComplex(0, ((frozenset(),),), ())
+        return LocFreeComplex(0, ((_RING,),), ())
 
     @staticmethod
     def from_free_complex(X: FreeComplex) -> "LocFreeComplex":
         return LocFreeComplex(
             X.min_degree,
-            tuple((frozenset(),) * r for r in X.ranks),
+            tuple((_RING,) * r for r in X.ranks),
             X.diffs,
         )
 
@@ -225,9 +225,8 @@ def _tensor_product(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
                 offs[(i, j)] = len(labels)
                 for x in la:
                     for y in lb:
-                        # equal labels share one frozenset: an operand that
-                        # already is the union is reused
-                        labels.append(x if y <= x else y if x <= y else x | y)
+                        # the right operand is reused when it is the union
+                        labels.append(y if x.issubset(y) else x.join(y))
         return offs, labels
 
     layouts = [layout(d) for d in range(lo, hi + 1)]
@@ -267,14 +266,14 @@ def _tensor_product(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
 def cone_of_augmentation(A: LocFreeComplex) -> LocFreeComplex:
     """Mapping cone of the degree-0 augmentation A -> unit, for complexes
     with a single plain-Z summand in degree 0 (the stable Koszul shape)."""
-    if A.labels_at(0) != (frozenset(),):
+    if A.labels_at(0) != (_RING,):
         raise ValueError("complex has no canonical augmentation")
     lo = A.min_degree - 1
     hi = A.max_degree
     labels = []
     diffs = []
     for d in range(lo, hi + 1):
-        lab = tuple(A.labels_at(d + 1)) + ((frozenset(),) if d == 0 else ())
+        lab = tuple(A.labels_at(d + 1)) + ((_RING,) if d == 0 else ())
         labels.append(lab)
     for d in range(lo, hi):
         src_a = A.labels_at(d + 1)
@@ -289,21 +288,13 @@ def cone_of_augmentation(A: LocFreeComplex) -> LocFreeComplex:
         if d + 1 == 0:
             # the augmentation component lands on the extra unit summand
             for j in range(len(src_a)):
-                M[len(tgt_a)][j] = 1 if src_a[j] == frozenset() else 0
+                M[len(tgt_a)][j] = 1 if src_a[j].is_empty else 0
         diffs.append(M)
     return LocFreeComplex(lo, tuple(labels), tuple(tuple(tuple(r) for r in M) for M in diffs))
 
 
 # ---------------------------------------------------------------------------
 # stable Koszul models
-
-
-def _finite_primes(Z: ZSubset):
-    if Z.is_whole:
-        return None
-    if Z.kind != "finite":
-        raise OracleScopeError("the oracle models finite prime sets only")
-    return tuple(sorted(Z.primes))
 
 
 @lru_cache(maxsize=None)
@@ -315,29 +306,25 @@ def cech_model(Z: ZSubset) -> LocFreeComplex:
     suffices: the model is Z -> Z[1/(p_1...p_k)].  (Tensoring one
     two-term factor per prime would instead compute torsion for the
     ideal generated by all the p_i together, which is the unit ideal as
-    soon as there are two distinct primes.)
+    soon as there are two distinct primes.)  For a cofinite Z the model
+    Z -> Z[1/Z] is the filtered colimit of those of its finite subsets.
 
-    >>> W = cech_model(ZSubset.finite([2, 3]))
-    >>> [sorted(sorted(l) for l in W.labels_at(d)) for d in W.degrees()]
-    [[[]], [[2, 3]]]
+    >>> cech_model(ZSubset.cofinite([5])).labels
+    ((ZSubset.finite([]),), (ZSubset.cofinite([5]),))
     """
-    primes = _finite_primes(Z)
-    if primes is None:
+    if Z.is_whole:
         return LocFreeComplex.unit()
-    if not primes:
+    if Z.is_empty:
         return LocFreeComplex.zero()
-    return LocFreeComplex(
-        0, ((frozenset(),), (frozenset(primes),)), (((1,),),)
-    )
+    return LocFreeComplex(0, ((_RING,), (Z,)), (((1,),),))
 
 
 @lru_cache(maxsize=None)
 def rq_model_complex(Z: ZSubset) -> LocFreeComplex:
     """Chain model of the localization functor applied to the ring."""
-    primes = _finite_primes(Z)
-    if primes is None:
+    if Z.is_whole:
         return LocFreeComplex.zero()
-    if not primes:
+    if Z.is_empty:
         return LocFreeComplex.unit()
     return cone_of_augmentation(cech_model(Z))
 
@@ -346,36 +333,21 @@ def _atom_models(degree: int, E: ElementaryModule):
     """Chain models (exact in lower degree) for each atom of E at a degree."""
     out = []
     if E.free_rank:
-        out.append(
-            LocFreeComplex(degree, ((frozenset(),) * E.free_rank,), ())
-        )
+        out.append(LocFreeComplex(degree, ((_RING,) * E.free_rank,), ()))
     for s, r in E.localized:
-        primes = _finite_primes(s)
-        if primes is None:  # pragma: no cover - guarded by OracleScopeError
-            raise OracleScopeError("cofinite localization outside oracle scope")
-        out.append(LocFreeComplex(degree, ((frozenset(primes),) * r,), ()))
+        out.append(LocFreeComplex(degree, ((s,) * r,), ()))
     for p, e, m in E.torsion:
         for _ in range(m):
             out.append(
                 LocFreeComplex(
                     degree - 1,
-                    ((frozenset(),), (frozenset(),)),
+                    ((_RING,), (_RING,)),
                     (((p**e,),),),
                 )
             )
+    # Z[1/S]/Z is the Pruefer sum over S: one block Z -> Z[1/S] per copy
     for s, m in E.prufer:
-        primes = _finite_primes(s)
-        if primes is None:
-            raise OracleScopeError("cofinite Pruefer sum outside oracle scope")
-        for p in primes:
-            for _ in range(m):
-                out.append(
-                    LocFreeComplex(
-                        degree - 1,
-                        ((frozenset(),), (frozenset([p]),)),
-                        (((1,),),),
-                    )
-                )
+        out.extend([cech_model(s)._at(degree - 1)] * m)
     return out
 
 
@@ -431,7 +403,7 @@ def _mod_p_reduction(labels: tuple, diffs: tuple, p: int) -> tuple:
     """The ranks and differentials of K_p: drop the p-divisible summands
     of a block and integerize.  Reductions mod p^t of K_p and of the
     block agree for every t."""
-    keep = [[j for j, lab in enumerate(row) if p not in lab] for row in labels]
+    keep = [[j for j, lab in enumerate(row) if not lab.contains(p)] for row in labels]
     return (
         tuple(len(k) for k in keep),
         tuple(
@@ -463,12 +435,13 @@ def _reduced_homology(ranks: tuple, diffs: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _rational_ranks(labels: tuple, diffs: tuple) -> tuple:
+def _rational_ranks(sizes: tuple, diffs: tuple) -> tuple:
     """The nonzero rational homology ranks ``((k, rank), ...)`` of one
-    block, k counted from the block's lowest degree."""
+    block with ``sizes[k]`` summands in degree k, counted from the
+    block's lowest degree (over Q every Z[1/S] is Q: labels do not count)."""
     # rational ranks of the differentials into and out of each degree
     rk = [0] + [rank_rational([list(r) for r in M]) for M in diffs] + [0]
-    ranks = ((k, len(row) - rk[k] - rk[k + 1]) for k, row in enumerate(labels))
+    ranks = ((k, n - rk[k] - rk[k + 1]) for k, n in enumerate(sizes))
     return tuple((k, r) for k, r in ranks if r)
 
 
@@ -510,7 +483,7 @@ def fingerprints(W, primes) -> OracleReport:
     rows: dict = {}
     for B in _blocks(W):
         base = B.min_degree
-        for k, r in _rational_ranks(B.labels, B.diffs):
+        for k, r in _rational_ranks(tuple(map(len, B.labels)), B.diffs):
             ranks[base + k] = ranks.get(base + k, 0) + r
         for p in primes:
             for k, growth, exps in _integral_homology_mod(B.labels, B.diffs, p):
@@ -608,20 +581,27 @@ def check_object(F: FormalObject, W, primes) -> ValidationReport:
     return ValidationReport.of(mism)
 
 
-def _relevant_primes(*sources, known=frozenset()) -> tuple:
-    """The sorted primes named by the sources and ``known``, or (2,)."""
+def _relevant_primes(*sources, known=()) -> tuple:
+    """The sorted primes named by the sources (levels and objects) and
+    ``known``, or (2,), with the least prime named by none of them when
+    a source names a cofinite set: every unnamed prime acts as that one."""
     out = set(known)
+    cofinite = False
     for s in sources:
         if isinstance(s, ZSubset):
-            out |= set(s.primes)
-        elif isinstance(s, FormalObject):
-            out |= set(s.mentioned_primes())
-        elif isinstance(s, SpFiltration):
-            out |= set(s.mentioned_primes())
+            out |= s.primes
+            cofinite = cofinite or s.kind == "cofinite"
+            continue
+        for _, E in s.graded:
+            out |= E.mentioned_primes()
+            for t, _ in E.localized + E.prufer:
+                cofinite = cofinite or t.kind == "cofinite"
+    if cofinite:
+        out.add(fresh_prime(out))
     return tuple(sorted(out)) or (2,)
 
 
-def validate_rgamma(Z: ZSubset, X: FreeComplex, primes=None) -> ValidationReport:
+def validate_rgamma(Z: ZSubset, X: FreeComplex) -> ValidationReport:
     """Engine rgamma versus the honest stable-Koszul tensor.
 
     >>> validate_rgamma(ZSubset.finite([2]), FreeComplex.stalk_free(1, 0)).ok
@@ -629,15 +609,13 @@ def validate_rgamma(Z: ZSubset, X: FreeComplex, primes=None) -> ValidationReport
     """
     F = rgamma(Z, from_free_complex(X))
     W = tensor(LocFreeComplex.from_free_complex(X), cech_model(Z))
-    primes = primes or _relevant_primes(Z, F)
-    return check_object(F, W, primes)
+    return check_object(F, W, _relevant_primes(Z, F))
 
 
-def validate_rq(Z: ZSubset, X: FreeComplex, primes=None) -> ValidationReport:
+def validate_rq(Z: ZSubset, X: FreeComplex) -> ValidationReport:
     F = rq(Z, from_free_complex(X))
     W = tensor(LocFreeComplex.from_free_complex(X), rq_model_complex(Z))
-    primes = primes or _relevant_primes(Z, F)
-    return check_object(F, W, primes)
+    return check_object(F, W, _relevant_primes(Z, F))
 
 
 def _gamma_module(Z: ZSubset, E: ElementaryModule) -> ElementaryModule:
@@ -707,22 +685,18 @@ def _check_tau_step(i: int, Z: ZSubset, F: FormalObject, res, primes) -> Validat
     """Check a computed one-level truncation ``res`` of F against the
     chain models, both vertices."""
     wl, wu = tau_single_models(i, Z, F)
-    primes = primes or _relevant_primes(Z, F, res.lower, res.upper)
     low = check_object(res.lower, wl, primes)
     up = check_object(res.upper, wu, primes)
     return ValidationReport.of(low.mismatches + up.mismatches)
 
 
-def validate_tau_single(
-    i: int, Z: ZSubset, F: FormalObject, primes=None
-) -> ValidationReport:
+def validate_tau_single(i: int, Z: ZSubset, F: FormalObject) -> ValidationReport:
     """Engine one-level truncation versus the chain models, both vertices."""
-    return _check_tau_step(i, Z, F, tau_single(i, Z, F), primes)
+    res = tau_single(i, Z, F)
+    return _check_tau_step(i, Z, F, res, _relevant_primes(Z, F, res.lower, res.upper))
 
 
-def validate_tau_filtration(
-    filtration: SpFiltration, F: FormalObject, primes=None
-) -> ValidationReport:
+def validate_tau_filtration(filtration: SpFiltration, F: FormalObject) -> ValidationReport:
     """Validate every one-level step of the composed truncation.
 
     Each step's vertices are checked against their chain models; the
@@ -730,7 +704,9 @@ def validate_tau_filtration(
     come from the engine's memo, so after ``tau_filtration(filtration, F)``
     these are the very steps it composed.  Each step is checked at the
     primes of F and the filtration, found once, and at those its own
-    vertices name, so a prime the engine invents is observed too.
+    vertices name, so a prime the engine invents is observed too.  Every
+    step's input descends from F along the filtration, so a fresh prime
+    is observed when F, the filtration or the step names a cofinite set.
     """
     if filtration.is_constant:
         Z = filtration.tail
@@ -740,17 +716,18 @@ def validate_tau_filtration(
             (rq_model_complex, rq(Z, F)),
         ):
             W = tensor(formal_object_model(F), build(Z))
-            pr = primes or _relevant_primes(Z, F, claim)
-            mism.extend(check_object(claim, W, pr).mismatches)
+            mism.extend(check_object(claim, W, _relevant_primes(Z, F, claim)).mismatches)
         return ValidationReport.of(mism)
     s, n = filtration.determined_interval()
     known = F.mentioned_primes() | filtration.mentioned_primes()
+    named = filtration.all_level_values() + [t for _, _, t, _ in F.nonfg_atoms()]
+    cofinite = [t for t in named if t.kind == "cofinite"]
     mism = []
     current = F
     for j in range(s, n + 1):
         Z = filtration.value(j)
         step = tau_single(j, Z, current)
-        pr = primes or _relevant_primes(Z, step.lower, step.upper, known=known)
+        pr = _relevant_primes(Z, step.lower, step.upper, *cofinite, known=known)
         mism.extend(_check_tau_step(j, Z, current, step, pr).mismatches)
         current = step.upper
     return ValidationReport.of(mism)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from .jsonio import integer
+
 
 # ---------------------------------------------------------------------------
 # primality (64-bit, deterministic)
@@ -567,10 +569,23 @@ def subset_from_json(obj: dict, spectrum):
             return ZSubset.whole()
         return PosetSubset(spectrum, frozenset(spectrum.points))
     if kind == "finite":
-        return ZSubset.finite(obj.get("primes", ()))
+        return ZSubset.finite(_primes_from_json(obj))
     if kind == "cofinite":
-        return ZSubset.cofinite(obj.get("primes", ()))
+        return ZSubset.cofinite(_primes_from_json(obj))
     raise ValueError(f"bad subset kind {kind!r}")
+
+
+def _primes_from_json(obj: dict) -> list:
+    # the constructors round each entry through int(), so outside input
+    # is checked here: a list of JSON integers (long ones decoded already),
+    # none of them 0, the generic point, which is no maximal ideal
+    primes = obj.get("primes", [])
+    if not isinstance(primes, list):
+        raise TypeError(f"subset primes must be a list, got {primes!r}")
+    primes = [integer(p, "subset prime") for p in primes]
+    if 0 in primes:
+        raise ValueError("a subset prime must be a prime number, got 0")
+    return primes
 
 
 def whole_subset(spectrum):

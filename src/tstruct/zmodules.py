@@ -287,6 +287,9 @@ def tor(A: ElementaryModule, B: ElementaryModule) -> tuple[ElementaryModule, Ele
     >>> str(t0), str(t1)
     ('Z/2', 'Z/2')
     """
+    if not (A.is_fg and B.is_fg):
+        # only the free and finite torsion atoms are read
+        raise ValueError("tor of a module that is not finitely generated")
     tor0 = [(p, e, m) for p, e, m in A.torsion for _ in range(B.free_rank)]
     tor0 += [(p, e, m) for p, e, m in B.torsion for _ in range(A.free_rank)]
     tor1 = []

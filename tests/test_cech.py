@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -5,7 +7,6 @@ from functools import lru_cache
 
 from tstruct.cech import (
     LocFreeComplex,
-    OracleScopeError,
     _gamma_module,
     _integral_homology_mod,
     _quotient_module,
@@ -35,9 +36,11 @@ from tstruct.corpus import (
 )
 from tstruct import cech, derived
 from tstruct.derived import FormalObject, TruncationResult, from_free_complex, rgamma
+from tstruct.duality import DUALIZING
 from tstruct.elementary import ElementaryModule as EM
 from tstruct.filtration import (
     canonical_filtration,
+    cm_filtration,
     constant_filtration,
     enumerate_census_class,
     from_values,
@@ -58,14 +61,14 @@ def zf(*ps):
 def test_model_shapes():
     C = cech_model(zf(2, 3))
     assert [len(C.labels_at(d)) for d in C.degrees()] == [1, 1]
-    assert C.labels_at(1) == (frozenset({2, 3}),)
-    assert cech_model(W).labels_at(0) == (frozenset(),)
+    assert C.labels_at(1) == (zf(2, 3),)
+    assert cech_model(W).labels_at(0) == (E,)
     assert cech_model(E).is_zero
     Q = rq_model_complex(zf(2))
     # terms Z in degree -1 and Z[1/2] (+) Z in degree 0, exact model of Z[1/2]
     assert [len(Q.labels_at(d)) for d in Q.degrees()] == [1, 2]
     assert rq_model_complex(W).is_zero
-    assert rq_model_complex(E).labels_at(0) == (frozenset(),)
+    assert rq_model_complex(E).labels_at(0) == (E,)
 
 
 def test_empty_rows_trim_to_the_zero_complex():
@@ -73,7 +76,7 @@ def test_empty_rows_trim_to_the_zero_complex():
     assert C.labels == () and C.min_degree == 0 and C.is_zero
     # an empty row between nonempty ones stays, and the complex is not zero
     D = LocFreeComplex(
-        -1, ((), (frozenset(),), (), (frozenset(),), ()), (((),), (), ((),), ())
+        -1, ((), (E,), (), (E,), ()), (((),), (), ((),), ())
     )
     assert D.min_degree == 0 and len(D.labels) == 3 and not D.is_zero
     assert D._at(5).min_degree == 5 and not D._at(5).is_zero
@@ -82,10 +85,21 @@ def test_empty_rows_trim_to_the_zero_complex():
 def test_label_discipline():
     with pytest.raises(ValueError):
         # a map out of a more inverted summand into a less inverted one
-        LocFreeComplex(0, ((frozenset({2}),), (frozenset(),)), (((1,),),))
+        LocFreeComplex(0, ((zf(2),), (E,)), (((1,),),))
     with pytest.raises(ValueError):
-        LocFreeComplex(0, ((frozenset(),), (frozenset(),), (frozenset(),)),
-                       (((1,),), ((1,),)))  # d o d != 0
+        LocFreeComplex(0, ((E,), (E,), (E,)), (((1,),), ((1,),)))  # d o d != 0
+    # a label is a finite or cofinite subset: a bare set of primes, or
+    # the whole spectrum (which names no set of primes), is refused
+    with pytest.raises(ValueError):
+        LocFreeComplex(0, ((frozenset(),),), ())
+    with pytest.raises(ValueError):
+        LocFreeComplex(0, ((E,), (frozenset({2}),)), (((1,),),))
+    with pytest.raises(ValueError):
+        LocFreeComplex(0, ((W,),), ())
+    # an inclusion into a cofinite label is allowed, out of one it is not
+    LocFreeComplex(0, ((zf(2),), (ZSubset.cofinite([3]),)), (((1,),),))
+    with pytest.raises(ValueError):
+        LocFreeComplex(0, ((ZSubset.cofinite([3]),), (zf(2),)), (((1,),),))
 
 
 def test_observables_divisible_signature():
@@ -200,13 +214,155 @@ def test_tau_validation_fixtures():
         assert validate_tau_single(i, zf(2, 3), mixed).ok
 
 
-def test_scope_errors():
-    with pytest.raises(OracleScopeError):
-        cech_model(ZSubset.cofinite([2]))
-    with pytest.raises(OracleScopeError):
-        formal_object_model(
-            FormalObject.stalk(EM.prufer_sum(ZSubset.cofinite([]), 1), 0)
-        )
+# -- cofinite sets of maximal ideals ------------------------------------------
+
+MAXIMALS = ZSubset.cofinite([])
+
+
+def _paper_example():
+    """{0: all maximals, 1: all maximals}: the paper's Cousin failure."""
+    return from_values(SPEC_Z, {0: MAXIMALS, 1: MAXIMALS}, W, E)
+
+
+def test_paper_cousin_failure_is_modelled():
+    # Z in degree 0 truncates to the sum of all Pruefer groups in degree 1
+    # and Q in degree 0, and the chain models agree
+    X = FormalObject.free_stalk(1, 0)
+    res = derived.tau_filtration(_paper_example(), X)
+    assert res.lower == FormalObject.stalk(EM.prufer_sum(MAXIMALS, 1), 1)
+    assert res.upper == FormalObject.stalk(EM.localized_free(MAXIMALS, 1), 0)
+    assert validate_tau_filtration(_paper_example(), X).ok
+
+
+def test_cm_filtration_truncations_are_modelled():
+    # the Cohen-Macaulay filtration of Z's dualizing complex has the level
+    # "all maximal ideals"
+    cm = cm_filtration(DUALIZING.codim)
+    assert MAXIMALS in cm.all_level_values()
+    rng = rng_from_seed(2024)
+    for _ in range(25):
+        X = random_free_complex(rng)
+        assert validate_tau_filtration(cm, from_free_complex(X)).ok
+        assert validate_tau_filtration(cm, random_formal_object(rng)).ok
+        for Z in (MAXIMALS, ZSubset.cofinite([3]), ZSubset.cofinite([2, 5])):
+            assert validate_rgamma(Z, X).ok and validate_rq(Z, X).ok
+
+
+def test_cofinite_atoms_are_modelled():
+    loc = FormalObject.stalk(EM.localized_free(ZSubset.cofinite([2]), 1), 0)
+    pru = FormalObject.stalk(EM.prufer_sum(ZSubset.cofinite([3]), 2), 1)
+    # one block Z -> Z[1/S] per copy of a Pruefer sum over S
+    assert [B.labels for B in formal_object_model(pru)] == [((E,), (ZSubset.cofinite([3]),))] * 2
+    for F, fresh in ((loc, 3), (pru, 5)):
+        F = F + FormalObject.cyclic_stalk(4, 1)
+        primes = cech._relevant_primes(F)
+        assert primes == tuple(sorted({2, 3, fresh}))
+        assert check_object(F, formal_object_model(F), primes).ok
+    rows = fingerprints(formal_object_model(loc + pru), (2, 3, 5))
+    # Z[1/S] grows at 2 only; the Pruefer sum twice one degree down, not at 3
+    assert rows.fingerprint(2, 0) == (3, ()) and rows.fingerprint(5, 0) == (2, ())
+    assert rows.fingerprint(3, 0) == (0, ())
+    for F in (loc, pru, loc + pru):
+        for Z in (W, E, zf(2), zf(3, 5), MAXIMALS, ZSubset.cofinite([2])):
+            for i in (-1, 0, 1):
+                assert validate_tau_single(i, Z, F).ok
+            assert validate_tau_filtration(constant_filtration(SPEC_Z, Z), F).ok
+
+
+def test_finite_claim_for_a_cofinite_truth_is_caught_at_the_fresh_prime():
+    truth = FormalObject.stalk(EM.prufer_sum(MAXIMALS, 1), 1)
+    claim = FormalObject.stalk(EM.prufer_sum(zf(2, 3, 5, 7), 1), 1)
+    model = formal_object_model(truth)
+    # the primes the claim names see no difference; 11, named by neither, does
+    assert check_object(claim, model, (2, 3, 5, 7)).ok
+    assert cech._relevant_primes(claim, truth) == (2, 3, 5, 7, 11)
+    rep = check_object(claim, model, cech._relevant_primes(claim, truth))
+    assert rep.mismatches == (("fingerprint", 11, 0, (1, ()), (0, ())),)
+
+
+def test_tau_validation_observes_the_fresh_prime(monkeypatch):
+    # an engine that truncates to the Pruefer sum over {2, 3, 5, 7} only:
+    # the level "all maximals" makes the oracle look at 11 as well
+    honest = derived.tau_single.__wrapped__
+    finite = FormalObject.stalk(EM.prufer_sum(zf(2, 3, 5, 7), 1), 1)
+
+    def finite_claim(i, Z, F):
+        step = honest(i, Z, F)
+        return step if step.lower.is_zero else TruncationResult(finite, step.upper)
+
+    monkeypatch.setattr(cech, "tau_single", finite_claim)
+    rep = validate_tau_filtration(_paper_example(), FormalObject.free_stalk(1, 0))
+    assert rep.mismatches == (("fingerprint", 11, 0, (1, ()), (0, ())),)
+
+
+def test_tau_validation_observes_the_fresh_prime_for_a_cofinite_input(monkeypatch):
+    # an engine that turns Q into Z[1/2] at the level {(2)}: neither that
+    # level nor the step's vertices name a cofinite set, only the input
+    honest = derived.tau_single.__wrapped__
+    Q = FormalObject.stalk(EM.localized_free(MAXIMALS, 1), 5)
+
+    def drops_cofinite(i, Z, F):
+        step = honest(i, Z, F)
+        if Z != zf(2):
+            return step
+        return TruncationResult(step.lower, FormalObject.stalk(EM.localized_free(zf(2), 1), 5))
+
+    monkeypatch.setattr(cech, "tau_single", drops_cofinite)
+    f = from_values(SPEC_Z, {0: zf(2)}, W, E)
+    assert validate_tau_filtration(f, Q).mismatches == (("fingerprint", 3, 5, (0, ()), (1, ())),)
+
+
+def _cofinite_census():
+    """Every decreasing chain on the window (-1, 1) with constant tail and
+    empty head, over the whole spectrum and the finite and cofinite
+    subsets named by (2, 3, 5)."""
+    named = [c for r in range(4) for c in combinations(DEFAULT_PRIMES, r)]
+    values = [W] + [ZSubset.finite(c) for c in named] + [ZSubset.cofinite(c) for c in named]
+    chains = {
+        str(f.to_json()): f
+        for a in values
+        for b in values
+        if b.issubset(a)
+        for c in values
+        if c.issubset(b)
+        for f in [from_values(SPEC_Z, {-1: a, 0: b, 1: c}, a, E)]
+    }
+    return list(chains.values())
+
+
+def test_engine_agrees_with_oracle_on_cofinite_census():
+    census = _cofinite_census()
+    cofinite = [f for f in census if any(l.kind == "cofinite" for l in f.all_level_values())]
+    assert (len(census), len(cofinite)) == (354, 254)
+    objects = [
+        FormalObject.free_stalk(1, 0),
+        FormalObject.cyclic_stalk(4, 0),
+        FormalObject.free_stalk(1, 1) + FormalObject.cyclic_stalk(6, 1),
+        FormalObject.cyclic_stalk(7, 0),
+        FormalObject.stalk(EM.localized_free(zf(2), 1), 0),
+        FormalObject.stalk(EM.localized_free(ZSubset.cofinite([3]), 1), 0),
+        FormalObject.stalk(EM.localized_free(MAXIMALS, 1), 1),
+        FormalObject.stalk(EM.prufer_sum(zf(2, 5), 1), 1),
+        FormalObject.stalk(EM.prufer_sum(ZSubset.cofinite([2]), 1), 0),
+        FormalObject.stalk(EM.prufer_sum(MAXIMALS, 1), -1) + FormalObject.free_stalk(1, 0),
+        FormalObject(
+            (
+                (-1, EM.free(2)),
+                (0, EM.free(1) + EM.cyclic_torsion(2, 2)),
+                (1, EM.cyclic_torsion(3, 1, 2)),
+            )
+        ),
+        FormalObject(
+            (
+                (-1, EM.free(1)),
+                (1, EM.localized_free(ZSubset.cofinite([5]), 1)
+                 + EM.prufer_sum(ZSubset.cofinite([2, 3]), 1)),
+            )
+        ),
+    ]
+    failures = [(str(f), str(F)) for f in census for F in objects
+                if not validate_tau_filtration(f, F).ok]
+    assert failures == []
 
 
 def test_deep_torsion_is_exact():
@@ -266,7 +422,7 @@ def test_predicted_observables_consistency():
 
 def test_cone_of_augmentation_requires_unit():
     with pytest.raises(ValueError):
-        cone_of_augmentation(LocFreeComplex(0, ((frozenset({2}),),), ()))
+        cone_of_augmentation(LocFreeComplex(0, ((zf(2),),), ()))
 
 
 # -- fingerprints on random formal objects ------------------------------------
@@ -409,7 +565,7 @@ def _koszul_reference(A, B):
             la, lb = A.labels_at(i), B.labels_at(d - i)
             if la and lb:
                 offs[(i, d - i)] = len(labels)
-                labels += [x | y for x in la for y in lb]
+                labels += [x.join(y) for x in la for y in lb]
         return offs, labels
 
     layouts = [layout(d) for d in range(lo, hi + 1)]
@@ -456,7 +612,7 @@ def _tau_models_reference(i, Z, F):
 
 
 def _p_rows_reference(B, p):
-    keep = [[j for j, lab in enumerate(row) if p not in lab] for row in B.labels]
+    keep = [[j for j, lab in enumerate(row) if not lab.contains(p)] for row in B.labels]
     K = FreeComplex(
         0,
         tuple(len(k) for k in keep),

@@ -61,6 +61,32 @@ def test_truncate_both_engines(files, capsys):
     assert second == third
 
 
+# the paper's Cousin failure: the level "all maximal ideals" in degrees 0, 1
+PAPER_EXAMPLE = {
+    "spectrum": {"ring": "Z"},
+    "tail": {"kind": "whole"},
+    "window": {"start": 0, "end": 1},
+    "levels": [{"kind": "cofinite", "primes": []}, {"kind": "cofinite", "primes": []}],
+    "head": {"kind": "finite", "primes": []},
+}
+
+
+def test_truncate_both_engines_on_cofinite_levels(files, capsys):
+    f = files("f.json", PAPER_EXAMPLE)
+    x = files("x.json", Z_STALK)
+    code, out = run(capsys, "truncate", "-f", f, "-x", x, "--engine", "both")
+    assert code == 0
+    assert out["enginesAgree"] is True and out["oracle"] == {"ok": True, "mismatches": 0}
+    maximals = {"kind": "cofinite", "primes": []}
+    # lower: the sum of all Pruefer groups in degree 1; upper: Q in degree 0
+    assert out["lower"]["graded"] == [
+        [1, {"free": 0, "localized": [], "torsion": [], "prufer": [{"primes": maximals, "mult": 1}]}]
+    ]
+    assert out["upper"]["graded"] == [
+        [0, {"free": 0, "localized": [{"inverted": maximals, "rank": 1}], "torsion": [], "prufer": []}]
+    ]
+
+
 def test_census_count_matches_library(files, capsys):
     code, out = run(capsys, "census", "--spectrum", "two-chain", "--window", "0..1",
                     "--count-only")
@@ -174,6 +200,16 @@ def _module(atoms):
         ({"minDeg": 0, "ranks": ["1"], "diffs": []}, ("truncate", "-f", "F", "-x", "{}")),
         ({"minDeg": 0, "ranks": [True], "diffs": []}, ("cm-check", "-x", "{}")),
         ({"minDeg": -1, "ranks": [1, 1], "diffs": [[["2"]]]}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"kind": "finite", "primes": [2.7, "3"]}, ("kashiwara", "--lemma", "1", "-z", "{}", "-x", "X", "-n", "0")),
+        ({"kind": "cofinite", "primes": [5.5]}, ("kashiwara", "--lemma", "1", "-z", "{}", "-x", "X", "-n", "0")),
+        ({"kind": "finite", "primes": "23"}, ("kashiwara", "--lemma", "2", "-z", "{}", "-x", "X", "-n", "0")),
+        ({"kind": "finite", "primes": [0]}, ("kashiwara", "--lemma", "1", "-z", "{}", "-x", "X", "-n", "0")),
+        ({**REPEATED_LEVEL, "levels": [{"kind": "finite", "primes": [2.5]}, {"kind": "finite", "primes": [2]}]},
+         ("check-cousin", "-f", "{}")),
+        (_module({"localized": [{"inverted": {"kind": "finite", "primes": ["3"]}, "rank": 1}]}),
+         ("truncate", "-f", "F", "-x", "{}")),
+        (_module({"localized": [{"inverted": {"kind": "cofinite", "primes": "23"}, "rank": 1}]}),
+         ("truncate", "-f", "F", "-x", "{}")),
     ],
     ids=["census-spectrum-empty", "census-spectrum-int", "census-spectrum-null-id",
          "kashiwara-subset-int", "cm-codim-int", "graded-degree-str",
@@ -183,7 +219,9 @@ def _module(atoms):
          "torsion-prime-4-member", "torsion-prime-4-both", "torsion-prime-0",
          "torsion-exponent-0", "torsion-exponent-float", "free-rank-bool",
          "prufer-mult-str", "complex-rank-float", "complex-rank-str", "complex-rank-bool",
-         "complex-entry-str"],
+         "complex-entry-str", "subset-prime-float", "subset-cofinite-prime-float",
+         "subset-primes-str", "subset-prime-0", "filtration-level-prime-float",
+         "localized-inverted-prime-str", "localized-inverted-primes-str"],
 )
 def test_malformed_payload_is_usage_error(files, payload, argv):
     bad = files("bad.json", payload)
@@ -206,6 +244,9 @@ def test_long_integers_as_decimal_strings_are_accepted(files, capsys):
         code, out = run(capsys, "truncate", "-f", f, "-x", x)
         assert code == 0
         assert out["lower"]["graded"] == []  # Z/(2^61 - 1) lies in the co-aisle
+    z = files("z.json", {"kind": "cofinite", "primes": [big]})
+    code, out = run(capsys, "kashiwara", "--lemma", "1", "-z", z, "-x", x, "-n", "0")
+    assert code == 0
 
 
 SPEC_Z_CANONICAL = {

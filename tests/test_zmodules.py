@@ -186,6 +186,11 @@ def test_support():
 def test_support_rejects_non_fg_modules(M):
     with pytest.raises(ValueError):
         support(M)
+    # so does tor, which reads only free and finite torsion atoms: on such
+    # input it would miss Z[1/3] (x) Z/2 = Z/2 and Tor_1(Z(2^oo), Z/2) = Z/2
+    for A, B in ((M, ElementaryModule.cyclic(2)), (ElementaryModule.cyclic(2), M)):
+        with pytest.raises(ValueError):
+            tor(A, B)
 
 
 # -- homology -----------------------------------------------------------------

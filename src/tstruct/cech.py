@@ -19,12 +19,13 @@ growth count: summands of the reduction mod p^t that grow with t) and
 the multiset of p-torsion exponents of H^d(K_p).
 
 A model is a direct sum of blocks, kept as a tuple of validated
-``LocFreeComplex`` values (one per atom of a formal object, or one
-stable-Koszul tensor per atom block) and never assembled into one
-block-diagonal complex.  Homology is additive, so each block is
-observed once, by a cache keyed by its labels and differentials (not
-its start degree, since re-indexing a complex re-indexes its homology),
-and a model's report adds its blocks' rows.
+``LocFreeComplex`` values (one rank-one block per copy of an atom of a
+formal object, or one stable-Koszul tensor per such block) and never
+assembled into one block-diagonal complex.  Homology is additive, so
+each block is observed once, by a cache keyed by its labels and
+differentials (not its start degree, since re-indexing a complex
+re-indexes its homology), and a model's rows are its blocks' rows
+added.
 
 Each distinct chain-level piece is built once per suite run and placed
 where it is needed by a degree shift, which keeps its labels and
@@ -34,14 +35,18 @@ differentials:
   many blocks and primes share it, and each prime reads its p-part;
 * a tensor of two blocks is built once per shape, with the left factor
   in the degree of its parity (the Koszul signs read nothing else);
-* truncation models are built stalk by stalk, once per stalk module,
-  level, side of the cut and parity of the stalk's degree.
+* a truncation step is checked stalk by stalk: each stalk's lower and
+  upper rows are observed once per stalk module, level, side of the
+  cut, parity of the stalk's degree and set of primes, and added into
+  the step's rows with the stalk's even shift.
 
 Every distinct block still passes the label-containment and d∘d checks.
 
 An engine answer (a formal object) is checked by predicting the same
-fingerprints in closed form and demanding exact agreement.  Reports
-keep only nonzero rows, and a check compares the union of their keys.
+fingerprints in closed form and demanding exact agreement.  Rows keep
+nonzero entries only, so the observed and predicted tables are
+compared as plain dicts; reports are built, and the union of their
+keys scanned, only on a mismatch.
 Finite p-torsion of any depth is compared exponent by exponent; a
 divisible part shows up as a growth count that differs from the
 rational rank.
@@ -330,21 +335,15 @@ def rq_model_complex(Z: ZSubset) -> LocFreeComplex:
 
 
 def _atom_models(degree: int, E: ElementaryModule):
-    """Chain models (exact in lower degree) for each atom of E at a degree."""
+    """Chain models (exact in lower degree) for the atoms of E at a
+    degree: one rank-one block per copy, the same value repeated."""
     out = []
     if E.free_rank:
-        out.append(LocFreeComplex(degree, ((_RING,) * E.free_rank,), ()))
+        out.extend([LocFreeComplex(degree, ((_RING,),), ())] * E.free_rank)
     for s, r in E.localized:
-        out.append(LocFreeComplex(degree, ((s,) * r,), ()))
+        out.extend([LocFreeComplex(degree, ((s,),), ())] * r)
     for p, e, m in E.torsion:
-        for _ in range(m):
-            out.append(
-                LocFreeComplex(
-                    degree - 1,
-                    ((_RING,), (_RING,)),
-                    (((p**e,),),),
-                )
-            )
+        out.extend([LocFreeComplex(degree - 1, ((_RING,), (_RING,)), (((p**e,),),))] * m)
     # Z[1/S]/Z is the Pruefer sum over S: one block Z -> Z[1/S] per copy
     for s, m in E.prufer:
         out.extend([cech_model(s)._at(degree - 1)] * m)
@@ -457,6 +456,41 @@ def _merge_exponents(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(acc.items()))
 
 
+def _observe(W, primes: tuple) -> tuple:
+    """The ``(ranks, rows)`` dicts of a model at sorted primes: the sums
+    of its blocks' rows (see ``fingerprints``)."""
+    ranks: dict = {}
+    rows: dict = {}
+    for B in _blocks(W):
+        base = B.min_degree
+        for k, r in _rational_ranks(tuple(map(len, B.labels)), B.diffs):
+            ranks[base + k] = ranks.get(base + k, 0) + r
+        for p in primes:
+            for k, growth, exps in _integral_homology_mod(B.labels, B.diffs, p):
+                _add_row(rows, (p, base + k), growth, exps)
+    return ranks, rows
+
+
+def _add_row(rows: dict, key: tuple, growth: int, exps: tuple) -> None:
+    """Add one row: growth counts add and exponent multisets merge."""
+    if key in rows:
+        g, x = rows[key]
+        rows[key] = (g + growth, _merge_exponents(x, exps))
+    else:
+        rows[key] = (growth, exps)
+
+
+def _add_shifted(observed: tuple, ranks: tuple, rows: tuple, shift: int) -> None:
+    """Add rows ``ranks = ((d, rank), ...)`` and ``rows = (((p, d),
+    (growth, exponents)), ...)``, moved up by ``shift`` degrees, into the
+    ``(ranks, rows)`` dicts of ``observed``."""
+    acc_ranks, acc_rows = observed
+    for d, r in ranks:
+        acc_ranks[d + shift] = acc_ranks.get(d + shift, 0) + r
+    for (p, d), (growth, exps) in rows:
+        _add_row(acc_rows, (p, d + shift), growth, exps)
+
+
 def fingerprints(W, primes) -> OracleReport:
     """Observe a model (a tuple of blocks, or one block): rational ranks
     and p-local fingerprints.
@@ -479,21 +513,7 @@ def fingerprints(W, primes) -> OracleReport:
     of degree 0 that grows with t, against zero rational rank.)
     """
     primes = tuple(sorted(set(primes)))
-    ranks: dict = {}
-    rows: dict = {}
-    for B in _blocks(W):
-        base = B.min_degree
-        for k, r in _rational_ranks(tuple(map(len, B.labels)), B.diffs):
-            ranks[base + k] = ranks.get(base + k, 0) + r
-        for p in primes:
-            for k, growth, exps in _integral_homology_mod(B.labels, B.diffs, p):
-                key = (p, base + k)
-                if key in rows:
-                    g, x = rows[key]
-                    rows[key] = (g + growth, _merge_exponents(x, exps))
-                else:
-                    rows[key] = (growth, exps)
-    return OracleReport(primes, ranks, rows)
+    return OracleReport(primes, *_observe(W, primes))
 
 
 def predicted_fingerprints(F: FormalObject, primes) -> OracleReport:
@@ -505,6 +525,12 @@ def predicted_fingerprints(F: FormalObject, primes) -> OracleReport:
     p^t-torsion subgroup).
     """
     primes = tuple(sorted(set(primes)))
+    return OracleReport(primes, *_predict(F, primes))
+
+
+def _predict(F: FormalObject, primes: tuple) -> tuple:
+    """The ``(ranks, rows)`` dicts of ``predicted_fingerprints`` at
+    sorted primes."""
     ranks: dict = {}
     rows: dict = {}
 
@@ -526,7 +552,7 @@ def predicted_fingerprints(F: FormalObject, primes) -> OracleReport:
                 _p_exponents(E.torsion, p),
             )
             add(p, d - 1, sum(m for s, m in E.prufer if s.contains(p)), ())
-    return OracleReport(primes, ranks, rows)
+    return ranks, rows
 
 
 # ---------------------------------------------------------------------------
@@ -559,15 +585,24 @@ _AGREE = ValidationReport(True, ())  # shared: most checks agree
 def check_object(F: FormalObject, W, primes) -> ValidationReport:
     """Exact agreement of rational ranks and p-local fingerprints between
     a claimed object and a chain model, row by row, over every degree
-    either side shows.
+    either side shows."""
+    primes = tuple(sorted(set(primes)))
+    return _compare(_observe(W, primes), F, primes)
 
-    Both reports keep nonzero rows only, so equal tables mean agreement
-    and are the common case; only a disagreement is scanned row by row.
+
+def _compare(observed: tuple, F: FormalObject, primes: tuple) -> ValidationReport:
+    """Compare observed ``(ranks, rows)`` dicts at sorted primes with the
+    claim's predicted ones.
+
+    Both sides keep nonzero rows only, so equal tables mean agreement
+    and are the common case; only a disagreement builds the two reports
+    and is scanned row by row.
     """
-    got = fingerprints(W, primes)
-    want = predicted_fingerprints(F, primes)
-    if got.ranks == want.ranks and got.rows == want.rows:
+    predicted = _predict(F, primes)
+    if observed == predicted:
         return _AGREE
+    got = OracleReport(primes, *observed)
+    want = OracleReport(primes, *predicted)
     mism = [
         ("rational-rank", 0, d, got.rank_at(d), want.rank_at(d))
         for d in got.ranks.keys() | want.ranks.keys()
@@ -607,15 +642,23 @@ def validate_rgamma(Z: ZSubset, X: FreeComplex) -> ValidationReport:
     >>> validate_rgamma(ZSubset.finite([2]), FreeComplex.stalk_free(1, 0)).ok
     True
     """
-    F = rgamma(Z, from_free_complex(X))
-    W = tensor(LocFreeComplex.from_free_complex(X), cech_model(Z))
-    return check_object(F, W, _relevant_primes(Z, F))
+    return _validate_functor("rgamma", Z, from_free_complex(X), LocFreeComplex.from_free_complex(X))
 
 
 def validate_rq(Z: ZSubset, X: FreeComplex) -> ValidationReport:
-    F = rq(Z, from_free_complex(X))
-    W = tensor(LocFreeComplex.from_free_complex(X), rq_model_complex(Z))
-    return check_object(F, W, _relevant_primes(Z, F))
+    """Engine rq versus the cone of the stable-Koszul augmentation."""
+    return _validate_functor("rq", Z, from_free_complex(X), LocFreeComplex.from_free_complex(X))
+
+
+def _validate_functor(kind: str, Z: ZSubset, F: FormalObject, X: LocFreeComplex) -> ValidationReport:
+    """Check the engine's ``kind`` ("rgamma" or "rq") at Z of a complex,
+    given as its engine object F and its chain complex X, so that a
+    caller checking many levels builds both once."""
+    if kind == "rgamma":
+        claim, C = rgamma(Z, F), cech_model(Z)
+    else:
+        claim, C = rq(Z, F), rq_model_complex(Z)
+    return check_object(claim, tensor(X, C), _relevant_primes(Z, claim))
 
 
 def _gamma_module(Z: ZSubset, E: ElementaryModule) -> ElementaryModule:
@@ -653,8 +696,9 @@ def tau_single_models(i: int, Z: ZSubset, F: FormalObject):
     Works stalk by stalk on a split model of F: a fully absorbed stalk
     contributes its stable Koszul tensor below and its localization cone
     above; a stalk at the cut degree splits off its module-level torsion;
-    higher stalks pass through.  Each stalk's blocks are built once, in
-    the degree of its parity, and placed by an even shift.
+    higher stalks pass through.  Each stalk's blocks are built in the
+    degree of its parity and placed by an even shift.  The step check
+    observes the same blocks stalk by stalk (``_tau_step_rows``).
     """
     lower = upper = ()
     for d, E in F.graded:
@@ -666,7 +710,6 @@ def tau_single_models(i: int, Z: ZSubset, F: FormalObject):
     return lower, upper
 
 
-@lru_cache(maxsize=None)
 def _tau_stalk_models(E: ElementaryModule, Z: ZSubset, side: int, d: int):
     """The lower and upper blocks of the stalk E in degree d, which lies
     below (``side`` -1), at (0) or above (1) the cut."""
@@ -681,13 +724,39 @@ def _tau_stalk_models(E: ElementaryModule, Z: ZSubset, side: int, d: int):
     return (), piece
 
 
-def _check_tau_step(i: int, Z: ZSubset, F: FormalObject, res, primes) -> ValidationReport:
+@lru_cache(maxsize=None)
+def _tau_stalk_rows(E: ElementaryModule, Z: ZSubset, side: int, d: int, primes: tuple):
+    """The observed rows of the lower and upper models of one stalk
+    (``_tau_stalk_models``) at sorted primes, as ``(ranks, rows)`` item
+    tuples per vertex."""
+    return tuple(
+        tuple(tuple(table.items()) for table in _observe(W, primes))
+        for W in _tau_stalk_models(E, Z, side, d)
+    )
+
+
+def _tau_step_rows(i: int, Z: ZSubset, F: FormalObject, primes: tuple) -> tuple:
+    """The ``(ranks, rows)`` dicts that ``tau_single_models(i, Z, F)``
+    shows at sorted primes, one pair per vertex.  Homology is additive,
+    so each stalk's rows are observed once, in the degree of its parity,
+    and added with its even shift."""
+    lower, upper = ({}, {}), ({}, {})
+    for d, E in F.graded:
+        parity = d % 2
+        low, up = _tau_stalk_rows(E, Z, (d > i) - (d < i), parity, primes)
+        _add_shifted(lower, *low, d - parity)
+        _add_shifted(upper, *up, d - parity)
+    return lower, upper
+
+
+def _check_tau_step(i: int, Z: ZSubset, F: FormalObject, res, primes: tuple) -> ValidationReport:
     """Check a computed one-level truncation ``res`` of F against the
-    chain models, both vertices."""
-    wl, wu = tau_single_models(i, Z, F)
-    low = check_object(res.lower, wl, primes)
-    up = check_object(res.upper, wu, primes)
-    return ValidationReport.of(low.mismatches + up.mismatches)
+    chain models, both vertices, at sorted primes."""
+    lower, upper = _tau_step_rows(i, Z, F, primes)
+    return ValidationReport.of(
+        _compare(lower, res.lower, primes).mismatches
+        + _compare(upper, res.upper, primes).mismatches
+    )
 
 
 def validate_tau_single(i: int, Z: ZSubset, F: FormalObject) -> ValidationReport:
@@ -746,7 +815,7 @@ _CACHES = (
     cech_model,
     rq_model_complex,
     formal_object_model,
-    _tau_stalk_models,
+    _tau_stalk_rows,
     _tensor_product,
     _integral_homology_mod,
     _reduced_homology,

@@ -445,6 +445,11 @@ class ZSubset:
             raise ValueError("whole subset carries no prime data")
         for p in self.primes:
             zpoint(p)
+        # the oracle's caches hash whole rows of labels on every lookup
+        object.__setattr__(self, "_hash", hash((self.kind, self.primes)))
+
+    def __hash__(self):
+        return self._hash
 
     # -- constructors --------------------------------------------------------
 

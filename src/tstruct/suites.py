@@ -205,15 +205,16 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
         {lvl for f in census for lvl in f.all_level_values() if not lvl.is_whole},
         key=str,
     ) + [ZSubset.whole()]
-    for k, X in enumerate(pool):
+    objects = [from_free_complex(X) for X in pool]
+    for k, (X, F) in enumerate(zip(pool, objects)):
+        # each complex's engine object and chain complex serve every level
+        chains = cech.LocFreeComplex.from_free_complex(X)
         for Z in levels:
-            if not cech.validate_rgamma(Z, X).ok:
-                failures.append((k, str(Z), "rgamma"))
-            if not cech.validate_rq(Z, X).ok:
-                failures.append((k, str(Z), "rq"))
+            for kind in ("rgamma", "rq"):
+                if not cech._validate_functor(kind, Z, F, chains).ok:
+                    failures.append((k, str(Z), kind))
         if failures:
             break
-    objects = [from_free_complex(X) for X in pool]
     for k, F in enumerate(objects):
         for f in census:
             if not cech.validate_tau_filtration(f, F).ok:

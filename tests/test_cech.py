@@ -47,7 +47,7 @@ from tstruct.filtration import (
     weak_cousin,
 )
 from tstruct.spectrum import SPEC_Z, ZSubset
-from tstruct.suites import Z_WINDOW
+from tstruct.suites import Z_WINDOW, _census_z
 from tstruct.zmodules import FreeComplex, homology, zeros
 
 W = ZSubset.whole()
@@ -418,6 +418,58 @@ def test_predicted_observables_consistency():
     assert got.fingerprint(2, 0) == (3, ((3, 1),))  # Z, and Pruefer above
     assert got.fingerprint(3, 1) == (0, ())  # Z[1/3] is 3-divisible
     assert got.fingerprint(5, 1) == (1, ())
+
+
+def test_atoms_of_rank_r_are_r_copies_of_one_block():
+    # free rank 3 and Z[1/2]^2: one rank-one block per copy, each
+    # observed like a multi-rank block built by hand
+    for E_, label, r in ((EM.free(3), E, 3), (EM.localized_free(zf(2), 2), zf(2), 2)):
+        F = FormalObject.stalk(E_, 1)
+        model = formal_object_model(F)
+        assert model == (LocFreeComplex(1, ((label,),), ()),) * r
+        reference = LocFreeComplex(1, ((label,) * r,), ())
+        assert fingerprints(model, (2, 3)) == fingerprints(reference, (2, 3))
+        for Z in (zf(2), zf(3, 5), MAXIMALS):
+            for build in (cech_model, rq_model_complex):
+                got = fingerprints(tensor(model, build(Z)), (2, 3, 5, 7))
+                assert got == fingerprints(tensor(reference, build(Z)), (2, 3, 5, 7))
+        assert check_object(F, model, (2, 3)).ok
+
+
+def _steps(f, F):
+    """The one-level steps ``(j, Z, input)`` that ``validate_tau_filtration``
+    checks along a non-constant filtration."""
+    s, n = f.determined_interval()
+    for j in range(s, n + 1):
+        Z = f.value(j)
+        yield j, Z, F
+        F = derived.tau_single(j, Z, F).upper
+
+
+def test_stalk_summed_rows_match_observed_step_models():
+    # every step of the census and of the cofinite census, on corpus
+    # objects with localized and Pruefer atoms, at two prime sets per step
+    # within one cache lifetime, so a cached stalk is read at both
+    clear_caches()
+    census = _census_z() + tuple(_cofinite_census())
+    rng = rng_from_seed(1515)
+    objects = [random_formal_object(rng) for _ in range(11)]
+    objects += [from_free_complex(random_free_complex(rng)) for _ in range(2)]
+    atoms = [E_ for F in objects for _, E_ in F.graded]
+    assert any(E_.localized for E_ in atoms) and any(E_.prufer for E_ in atoms)
+    steps = 0
+    for F in objects:
+        for f in census:
+            if f.is_constant:
+                continue
+            for j, Z, current in _steps(f, F):
+                for primes in ((2,), cech._relevant_primes(Z, current, known=(2, 3, 5, 7))):
+                    got = cech._tau_step_rows(j, Z, current, primes)
+                    for rows, model in zip(got, tau_single_models(j, Z, current)):
+                        want = fingerprints(model, primes)
+                        assert rows == (want.ranks, want.rows)
+                steps += 1
+    assert steps > 1000
 
 
 def test_cone_of_augmentation_requires_unit():

@@ -48,6 +48,37 @@ def test_contains_rejects_non_points(bad):
         zpoint(bad)
 
 
+def test_equal_subsets_hash_equal_however_built():
+    # the hash is computed once per value, from the canonical data only
+    two_three = ZSubset.finite([3, 2])
+    built = [
+        ZSubset.finite([2, 3]),
+        ZSubset.finite([3, 2, 3]),
+        ZSubset.finite([2, 3, 5]).meet(ZSubset.cofinite([5, 7])),
+        ZSubset.finite([2]).join(ZSubset.finite([3])),
+        ZSubset.finite([2, 3, 7]).minus(ZSubset.finite([7])),
+        ZSubset.whole().minus(ZSubset.cofinite([2, 3])),
+    ]
+    table = {two_three: "two-three"}
+    for Z in built:
+        assert Z == two_three and hash(Z) == hash(two_three)
+        assert table[Z] == "two-three"
+    whole = [
+        ZSubset.whole(),
+        ZSubset.finite([2]).join(ZSubset.whole()),
+        ZSubset.cofinite([2]).join(ZSubset.whole()),
+    ]
+    cofinite = [
+        ZSubset.cofinite([5, 2]),
+        ZSubset.cofinite([2]).meet(ZSubset.cofinite([5])),
+        ZSubset.whole().minus(ZSubset.finite([2, 5])),
+    ]
+    for group in (whole, cofinite):
+        assert len({hash(Z) for Z in group}) == 1 and len(set(group)) == 1
+    assert ZSubset.finite([2]) != ZSubset.cofinite([2])
+    assert len({ZSubset.empty(), ZSubset.cofinite([]), ZSubset.whole()}) == 3
+
+
 def test_contains_on_integers_and_points():
     big = 2**61 - 1
     inside = {

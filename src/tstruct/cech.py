@@ -1,10 +1,11 @@
 """Chain-level cross-validation oracle built on stable Koszul complexes.
 
 The oracle never trusts the atom calculus of the derived engine.  It
-represents honest complexes whose terms are finite direct sums of
+works with honest complexes whose terms are finite direct sums of
 localizations ``Z[1/S]``, one ``ZSubset`` S of inverted primes (finite
-or cofinite) per summand, builds derived torsion for a set Z of maximal
-ideals as a tensor with the stable Koszul complex
+or cofinite) per summand: ``zmodules.FreeComplex`` values, whose
+plain Z summands carry the empty label.  It builds derived torsion for
+a set Z of maximal ideals as a tensor with the stable Koszul complex
 
     Z -> Z[1/Z],
 
@@ -19,13 +20,12 @@ growth count: summands of the reduction mod p^t that grow with t) and
 the multiset of p-torsion exponents of H^d(K_p).
 
 A model is a direct sum of blocks, kept as a tuple of validated
-``LocFreeComplex`` values (one rank-one block per copy of an atom of a
-formal object, or one stable-Koszul tensor per such block) and never
-assembled into one block-diagonal complex.  Homology is additive, so
-each block is observed once, by a cache keyed by its labels and
-differentials (not its start degree, since re-indexing a complex
-re-indexes its homology), and a model's rows are its blocks' rows
-added.
+complexes (one rank-one block per copy of an atom of a formal object,
+or one stable-Koszul tensor per such block) and never assembled into
+one block-diagonal complex.  Homology is additive, so each block is
+observed once, by a cache keyed by its labels and differentials (not
+its start degree, since re-indexing a complex re-indexes its
+homology), and a model's rows are its blocks' rows added.
 
 Each distinct chain-level piece is built once per suite run and placed
 where it is needed by a degree shift, which keeps its labels and
@@ -34,7 +34,9 @@ differentials:
 * integral homology runs once per distinct p-reduction K_p, however
   many blocks and primes share it, and each prime reads its p-part;
 * a tensor of two blocks is built once per shape, with the left factor
-  in the degree of its parity (the Koszul signs read nothing else);
+  in the degree of its parity (the Koszul signs read nothing else), by
+  the one Koszul product ``zmodules.tensor``; ``tensor`` here only
+  distributes it over the blocks of models;
 * a truncation step is checked stalk by stalk: each stalk's lower and
   upper rows are observed once per stalk module, level, side of the
   cut, parity of the stalk's degree and set of primes, and added into
@@ -61,134 +63,17 @@ from .derived import FormalObject, from_free_complex, rgamma, rq, tau_single
 from .elementary import ElementaryModule
 from .filtration import SpFiltration
 from .spectrum import ZSubset, fresh_prime
-from .zmodules import (
-    FreeComplex,
-    homology,
-    is_zero_matrix,
-    matmul,
-    rank_rational,
-    zeros,
-)
+from . import zmodules
+from .zmodules import FreeComplex, homology, rank_rational, zeros
 
 
 # ---------------------------------------------------------------------------
-# complexes of sums of localizations
-
-_RING = ZSubset.empty()  # the label of a plain Z summand: nothing inverted
-
-
-@dataclass(frozen=True)
-class LocFreeComplex:
-    """A bounded complex whose degree-d term is a finite sum of Z[1/S].
-
-    ``labels[k]`` lists one ``ZSubset`` S of inverted primes, finite or
-    cofinite, per summand Z[1/S] of degree ``min_degree + k`` (the empty
-    S for Z itself).  ``diffs[k]`` is an integer matrix mapping
-    degree min_degree+k to the next degree (columns index the source).
-    A nonzero entry requires the source label to be contained in the
-    target label, so that multiplication lands where it should.
-    """
-
-    min_degree: int = 0
-    labels: tuple = ()  # per degree: tuple of ZSubset
-    diffs: tuple = ()
-
-    def __post_init__(self):
-        labels = tuple(map(tuple, self.labels))
-        if not all(isinstance(s, ZSubset) and not s.is_whole for r in labels for s in r):
-            raise ValueError("a label must be a finite or cofinite ZSubset")
-        diffs = tuple(
-            tuple(tuple(int(x) for x in row) for row in M) for M in self.diffs
-        )
-        min_degree = self.min_degree
-        while labels and not labels[-1]:
-            labels = labels[:-1]
-            diffs = diffs[:-1]
-        while labels and not labels[0]:
-            labels = labels[1:]
-            diffs = diffs[1:]
-            min_degree += 1
-        if not labels:
-            min_degree = 0
-        object.__setattr__(self, "min_degree", min_degree)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "diffs", diffs)
-        if labels and len(diffs) != len(labels) - 1:
-            raise ValueError("need one differential between consecutive degrees")
-        for k, M in enumerate(diffs):
-            rows, cols = len(M), len(M[0]) if M else 0
-            if rows != len(labels[k + 1]) or (rows and cols != len(labels[k])):
-                raise ValueError(f"differential {k} has wrong shape")
-            for i in range(rows):
-                for j in range(cols):
-                    if M[i][j] and not labels[k][j].issubset(labels[k + 1][i]):
-                        raise ValueError(
-                            "nonzero entry from a more-inverted into a "
-                            "less-inverted summand"
-                        )
-        # composites vanish over Q iff they vanish as integer products
-        for k in range(len(diffs) - 1):
-            A = [list(r) for r in diffs[k + 1]]
-            B = [list(r) for r in diffs[k]]
-            if A and B and A[0] and not is_zero_matrix(matmul(A, B)):
-                raise ValueError("d o d != 0")
-
-    @property
-    def max_degree(self) -> int:
-        return self.min_degree + len(self.labels) - 1
-
-    def degrees(self):
-        return range(self.min_degree, self.min_degree + len(self.labels))
-
-    def labels_at(self, d: int):
-        k = d - self.min_degree
-        if 0 <= k < len(self.labels):
-            return self.labels[k]
-        return ()
-
-    def diff_at(self, d: int):
-        k = d - self.min_degree
-        if 0 <= k < len(self.diffs):
-            return [list(row) for row in self.diffs[k]]
-        return zeros(len(self.labels_at(d + 1)), len(self.labels_at(d)))
-
-    @property
-    def is_zero(self) -> bool:
-        # empty degrees are trimmed at both ends, so a zero complex has no rows
-        return not self.labels
-
-    def _at(self, d: int) -> "LocFreeComplex":
-        """The same block starting in degree d.  Its labels and
-        differentials, all that validation reads, are reused unchecked."""
-        if d == self.min_degree or self.is_zero:
-            return self
-        placed = object.__new__(LocFreeComplex)
-        object.__setattr__(placed, "min_degree", d)
-        object.__setattr__(placed, "labels", self.labels)
-        object.__setattr__(placed, "diffs", self.diffs)
-        return placed
-
-    @staticmethod
-    def zero() -> "LocFreeComplex":
-        return LocFreeComplex(0, (), ())
-
-    @staticmethod
-    def unit() -> "LocFreeComplex":
-        """The ring as a one-term complex in degree 0."""
-        return LocFreeComplex(0, ((_RING,),), ())
-
-    @staticmethod
-    def from_free_complex(X: FreeComplex) -> "LocFreeComplex":
-        return LocFreeComplex(
-            X.min_degree,
-            tuple((_RING,) * r for r in X.ranks),
-            X.diffs,
-        )
+# models as sums of blocks
 
 
 def _blocks(W) -> tuple:
     """The blocks of a model: a tuple of blocks, or one block on its own."""
-    if isinstance(W, LocFreeComplex):
+    if isinstance(W, FreeComplex):
         return () if W.is_zero else (W,)
     return W
 
@@ -196,89 +81,26 @@ def _blocks(W) -> tuple:
 def tensor(A, B):
     """Tensor product with Koszul signs; labels of summands unite.
 
-    Two blocks give one block; on models the product distributes over
-    the pairs of blocks and gives a model.
+    Two blocks give one block (``zmodules.tensor``); on models the product
+    distributes over the pairs of blocks and gives a model.
     """
-    if isinstance(A, LocFreeComplex) and isinstance(B, LocFreeComplex):
-        return _tensor_blocks(A, B)
-    return tuple(_tensor_blocks(a, b) for a in _blocks(A) for b in _blocks(B))
+    if isinstance(A, FreeComplex) and isinstance(B, FreeComplex):
+        return zmodules.tensor(A, B)
+    return tuple(zmodules.tensor(a, b) for a in _blocks(A) for b in _blocks(B))
 
 
-def _tensor_blocks(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
-    """The product of two blocks, built once per shape: the Koszul signs
-    read only the parity of A's degrees, so the product of A placed at
-    that parity and B placed at 0 is placed at the sum of the start
-    degrees."""
-    if A.is_zero or B.is_zero:
-        return LocFreeComplex.zero()
-    product = _tensor_product(A._at(A.min_degree % 2), B._at(0))
-    return product._at(A.min_degree + B.min_degree)
-
-
-@lru_cache(maxsize=None)
-def _tensor_product(A: LocFreeComplex, B: LocFreeComplex) -> LocFreeComplex:
-    lo = A.min_degree + B.min_degree
-    hi = A.max_degree + B.max_degree
-
-    def layout(d):
-        labels = []
-        offs = {}
-        for i in A.degrees():
-            j = d - i
-            la, lb = A.labels_at(i), B.labels_at(j)
-            if la and lb:
-                offs[(i, j)] = len(labels)
-                for x in la:
-                    for y in lb:
-                        # the right operand is reused when it is the union
-                        labels.append(y if x.issubset(y) else x.join(y))
-        return offs, labels
-
-    layouts = [layout(d) for d in range(lo, hi + 1)]
-    diffs = []
-    for d in range(lo, hi):
-        offs_s, lab_s = layouts[d - lo]
-        offs_t, lab_t = layouts[d + 1 - lo]
-        M = zeros(len(lab_t), len(lab_s))
-        for (i, j), base_s in offs_s.items():
-            ra, rb = len(A.labels_at(i)), len(B.labels_at(j))
-            if (i + 1, j) in offs_t:
-                base_t = offs_t[(i + 1, j)]
-                DA = A.diff_at(i)
-                for a in range(len(A.labels_at(i + 1))):
-                    for b in range(ra):
-                        if DA[a][b]:
-                            for c in range(rb):
-                                M[base_t + a * rb + c][base_s + b * rb + c] += DA[a][b]
-            if (i, j + 1) in offs_t:
-                base_t = offs_t[(i, j + 1)]
-                DB = B.diff_at(j)
-                sgn = -1 if i % 2 else 1
-                tb = len(B.labels_at(j + 1))
-                for b in range(ra):
-                    for a in range(tb):
-                        for c in range(rb):
-                            if DB[a][c]:
-                                M[base_t + b * tb + a][base_s + b * rb + c] += sgn * DB[a][c]
-        diffs.append(M)
-    return LocFreeComplex(
-        lo,
-        tuple(tuple(lab) for _, lab in layouts),
-        tuple(tuple(tuple(r) for r in M) for M in diffs),
-    )
-
-
-def cone_of_augmentation(A: LocFreeComplex) -> LocFreeComplex:
+def cone_of_augmentation(A: FreeComplex) -> FreeComplex:
     """Mapping cone of the degree-0 augmentation A -> unit, for complexes
     with a single plain-Z summand in degree 0 (the stable Koszul shape)."""
-    if A.labels_at(0) != (_RING,):
+    ring = ZSubset.empty()
+    if A.labels_at(0) != (ring,):
         raise ValueError("complex has no canonical augmentation")
     lo = A.min_degree - 1
     hi = A.max_degree
     labels = []
     diffs = []
     for d in range(lo, hi + 1):
-        lab = tuple(A.labels_at(d + 1)) + ((_RING,) if d == 0 else ())
+        lab = tuple(A.labels_at(d + 1)) + ((ring,) if d == 0 else ())
         labels.append(lab)
     for d in range(lo, hi):
         src_a = A.labels_at(d + 1)
@@ -295,7 +117,7 @@ def cone_of_augmentation(A: LocFreeComplex) -> LocFreeComplex:
             for j in range(len(src_a)):
                 M[len(tgt_a)][j] = 1 if src_a[j].is_empty else 0
         diffs.append(M)
-    return LocFreeComplex(lo, tuple(labels), tuple(tuple(tuple(r) for r in M) for M in diffs))
+    return FreeComplex(lo, tuple(labels), tuple(tuple(tuple(r) for r in M) for M in diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +125,7 @@ def cone_of_augmentation(A: LocFreeComplex) -> LocFreeComplex:
 
 
 @lru_cache(maxsize=None)
-def cech_model(Z: ZSubset) -> LocFreeComplex:
+def cech_model(Z: ZSubset) -> FreeComplex:
     """The stable Koszul complex computing derived Z-torsion of the ring.
 
     A finite set of maximal ideals {(p_1), ..., (p_k)} is the vanishing
@@ -318,19 +140,19 @@ def cech_model(Z: ZSubset) -> LocFreeComplex:
     ((ZSubset.finite([]),), (ZSubset.cofinite([5]),))
     """
     if Z.is_whole:
-        return LocFreeComplex.unit()
+        return FreeComplex.stalk_free(1)
     if Z.is_empty:
-        return LocFreeComplex.zero()
-    return LocFreeComplex(0, ((_RING,), (Z,)), (((1,),),))
+        return FreeComplex.zero()
+    return FreeComplex(0, ((ZSubset.empty(),), (Z,)), (((1,),),))
 
 
 @lru_cache(maxsize=None)
-def rq_model_complex(Z: ZSubset) -> LocFreeComplex:
+def rq_model_complex(Z: ZSubset) -> FreeComplex:
     """Chain model of the localization functor applied to the ring."""
     if Z.is_whole:
-        return LocFreeComplex.zero()
+        return FreeComplex.zero()
     if Z.is_empty:
-        return LocFreeComplex.unit()
+        return FreeComplex.stalk_free(1)
     return cone_of_augmentation(cech_model(Z))
 
 
@@ -339,11 +161,11 @@ def _atom_models(degree: int, E: ElementaryModule):
     degree: one rank-one block per copy, the same value repeated."""
     out = []
     if E.free_rank:
-        out.extend([LocFreeComplex(degree, ((_RING,),), ())] * E.free_rank)
+        out.extend([FreeComplex.stalk_free(1, degree)] * E.free_rank)
     for s, r in E.localized:
-        out.extend([LocFreeComplex(degree, ((s,),), ())] * r)
+        out.extend([FreeComplex(degree, ((s,),), ())] * r)
     for p, e, m in E.torsion:
-        out.extend([LocFreeComplex(degree - 1, ((_RING,), (_RING,)), (((p**e,),),))] * m)
+        out.extend([FreeComplex.cyclic_resolution(p**e, degree)] * m)
     # Z[1/S]/Z is the Pruefer sum over S: one block Z -> Z[1/S] per copy
     for s, m in E.prufer:
         out.extend([cech_model(s)._at(degree - 1)] * m)
@@ -429,7 +251,7 @@ def _reduced_homology(ranks: tuple, diffs: tuple) -> tuple:
     p-reduction, computed once however many blocks and primes share it."""
     return tuple(
         (k, M.free_rank, M.torsion)
-        for k, M in homology(FreeComplex(0, ranks, diffs)).items()
+        for k, M in homology(FreeComplex.free(0, ranks, diffs)).items()
     )
 
 
@@ -463,7 +285,7 @@ def _observe(W, primes: tuple) -> tuple:
     rows: dict = {}
     for B in _blocks(W):
         base = B.min_degree
-        for k, r in _rational_ranks(tuple(map(len, B.labels)), B.diffs):
+        for k, r in _rational_ranks(B.ranks, B.diffs):
             ranks[base + k] = ranks.get(base + k, 0) + r
         for p in primes:
             for k, growth, exps in _integral_homology_mod(B.labels, B.diffs, p):
@@ -504,7 +326,7 @@ def fingerprints(W, primes) -> OracleReport:
     Homology is additive over blocks, so the rows of W are the sums of
     its blocks' rows: growth counts add and exponent multisets merge.
 
-    >>> W = tensor(LocFreeComplex.unit(), cech_model(ZSubset.finite([2])))
+    >>> W = tensor(FreeComplex.stalk_free(1), cech_model(ZSubset.finite([2])))
     >>> r = fingerprints(W, (2,))
     >>> r.fingerprint(2, 0), r.rank_at(0), r.rank_at(1)
     ((1, ()), 0, 0)
@@ -642,15 +464,15 @@ def validate_rgamma(Z: ZSubset, X: FreeComplex) -> ValidationReport:
     >>> validate_rgamma(ZSubset.finite([2]), FreeComplex.stalk_free(1, 0)).ok
     True
     """
-    return _validate_functor("rgamma", Z, from_free_complex(X), LocFreeComplex.from_free_complex(X))
+    return _validate_functor("rgamma", Z, from_free_complex(X), X)
 
 
 def validate_rq(Z: ZSubset, X: FreeComplex) -> ValidationReport:
     """Engine rq versus the cone of the stable-Koszul augmentation."""
-    return _validate_functor("rq", Z, from_free_complex(X), LocFreeComplex.from_free_complex(X))
+    return _validate_functor("rq", Z, from_free_complex(X), X)
 
 
-def _validate_functor(kind: str, Z: ZSubset, F: FormalObject, X: LocFreeComplex) -> ValidationReport:
+def _validate_functor(kind: str, Z: ZSubset, F: FormalObject, X: FreeComplex) -> ValidationReport:
     """Check the engine's ``kind`` ("rgamma" or "rq") at Z of a complex,
     given as its engine object F and its chain complex X, so that a
     caller checking many levels builds both once."""
@@ -810,13 +632,47 @@ def divisible_rank_detection(F: FormalObject, primes=None):
     return fingerprints(W, primes or _relevant_primes(F)).divisible_signals()
 
 
+def no_maps_into_nonpositive_shifts(X: FreeComplex, Y: FormalObject) -> bool:
+    """No maps from the free complex X into Y[m] for any m <= 0, read off
+    the chain complex Hom(X, Y) = X^v (x) Y of a model of Y.
+
+    Its homology H^m is Hom(X, Y[m]), an elementary module.  Its torsion
+    lies at the torsion primes of X or at primes Y names; its Pruefer
+    parts at primes Y names or, for a cofinite set, at the fresh prime
+    that stands for the unnamed ones; one further fresh prime is observed
+    too.  A Pruefer summand of H^m grows in row (p, m - 1), so H^m
+    vanishes for every m <= 0 exactly when the rational ranks there are
+    zero, every row (p, m <= -1) is zero and row (p, 0) has no torsion
+    exponents (its growth is Pruefer from H^1).
+
+    >>> no_maps_into_nonpositive_shifts(FreeComplex.cyclic_resolution(2, 0),
+    ...                                 FormalObject.free_stalk(1, -1))
+    False
+    """
+    primes = _relevant_primes(Y, from_free_complex(X))
+    primes += (fresh_prime(primes),)
+    # X^v: the dual of degree d sits in degree -d, differentials transposed
+    ranks = X.ranks
+    dual = FreeComplex.free(
+        -X.max_degree,
+        ranks[::-1],
+        tuple(
+            tuple(tuple(row[j] for row in X.diffs[k]) for j in range(ranks[k]))
+            for k in reversed(range(len(X.diffs)))
+        ),
+    )
+    report = fingerprints(tensor(dual, formal_object_model(Y)), primes)
+    return all(r == 0 for d, r in report.ranks.items() if d <= 0) and all(
+        d > 0 or (d == 0 and not exps) for (_, d), (_, exps) in report.rows.items()
+    )
+
+
 # the oracle's model and observation caches, which grow without bound
 _CACHES = (
     cech_model,
     rq_model_complex,
     formal_object_model,
     _tau_stalk_rows,
-    _tensor_product,
     _integral_homology_mod,
     _reduced_homology,
     _rational_ranks,
@@ -824,6 +680,8 @@ _CACHES = (
 
 
 def clear_caches():
-    """Empty every oracle cache, so that a caller can scope them to one run."""
+    """Empty every oracle cache, so that a caller can scope them to one run:
+    the ones here and the per-shape block product of ``zmodules.tensor``."""
+    zmodules.clear_caches()
     for cached in _CACHES:
         cached.cache_clear()

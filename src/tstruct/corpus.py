@@ -144,19 +144,20 @@ def random_free_complex(
         X = FreeComplex.zero()
         for piece in pieces:
             X = direct_sum(X, piece)
-        if len(X.ranks) > max_terms or any(r > max_rank for r in X.ranks):
+        ranks = X.ranks
+        if len(ranks) > max_terms or any(r > max_rank for r in ranks):
             continue
         # disguise the direct sum by unimodular changes of basis
         us = []
-        for r in X.ranks:
+        for r in ranks:
             moves = rng.randint(0, 2 * r)
             us.append(_random_unimodular_with_inverse(rng, r, moves))
         diffs = []
-        for k in range(len(X.ranks) - 1):
+        for k in range(len(ranks) - 1):
             M = X.diff_at(X.min_degree + k)
-            if X.ranks[k] and X.ranks[k + 1]:
+            if ranks[k] and ranks[k + 1]:
                 M = matmul(matmul(us[k + 1][0], M), us[k][1])
             diffs.append(tuple(tuple(row) for row in M))
         if any(abs(x) > max_entry for M in diffs for row in M for x in row):
             continue
-        return FreeComplex(X.min_degree, X.ranks, tuple(diffs))
+        return FreeComplex.free(X.min_degree, ranks, tuple(diffs))

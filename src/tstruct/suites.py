@@ -76,9 +76,9 @@ def _complex_pool(seed, count):
 
 
 def _timed(criterion):
-    """Run a criterion with empty oracle caches and truncation-step memo
-    (so they live for one suite run) and add its wall time to the report
-    as ``seconds``."""
+    """Run a criterion or invariant suite with empty oracle caches and
+    truncation-step memo (so they live for one suite run) and add its
+    wall time to the report as ``seconds``."""
 
     @wraps(criterion)
     def run(*args, **kwargs):
@@ -207,11 +207,10 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
     ) + [ZSubset.whole()]
     objects = [from_free_complex(X) for X in pool]
     for k, (X, F) in enumerate(zip(pool, objects)):
-        # each complex's engine object and chain complex serve every level
-        chains = cech.LocFreeComplex.from_free_complex(X)
+        # each complex's engine object serves every level
         for Z in levels:
             for kind in ("rgamma", "rq"):
-                if not cech._validate_functor(kind, Z, F, chains).ok:
+                if not cech._validate_functor(kind, Z, F, X).ok:
                     failures.append((k, str(Z), kind))
         if failures:
             break
@@ -241,15 +240,17 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
 @_timed
 def criterion_generator_reduction(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
     """Hom-vanishing computed through the hereditary splitting agrees with
-    the stalk-generator criterion on a seeded corpus of pairs."""
+    the stalk-generator criterion and with the chain complex Hom(X, Y) of
+    the oracle on a seeded corpus of pairs."""
     rng = rng_from_seed(seed + 5)
     failures = []
     for k in range(pairs):
         X = random_free_complex(rng)
         Y = random_formal_object(rng)
         rep = derived.generator_reduction_crosscheck(X, Y)
-        if not rep.agree:
-            failures.append((k, rep.via_hom_complex, rep.via_stalk_generators))
+        via_chains = cech.no_maps_into_nonpositive_shifts(X, Y)
+        if not rep.agree or via_chains != rep.via_hom_complex:
+            failures.append((k, rep.via_hom_complex, rep.via_stalk_generators, via_chains))
     return {
         "suite": "generator-reduction",
         "ok": not failures,
@@ -406,6 +407,7 @@ ACCEPTANCE = {
 # module-invariant suites (the remaining library properties)
 
 
+@_timed
 def suite_spectrum(seed=DEFAULT_SEED) -> dict:
     rng = rng_from_seed(seed + 21)
     failures = []
@@ -510,6 +512,7 @@ def _catenary_consistent(P: FinPoset, d) -> bool:
     return True
 
 
+@_timed
 def suite_zmodules(seed=DEFAULT_SEED) -> dict:
     from .zmodules import matmul, smith_normal_form, support
 
@@ -562,6 +565,7 @@ def suite_zmodules(seed=DEFAULT_SEED) -> dict:
     return {"suite": "zmodules", "ok": not failures, "failures": failures[:5]}
 
 
+@_timed
 def suite_filtration(seed=DEFAULT_SEED) -> dict:
     rng = rng_from_seed(seed + 47)
     failures = []
@@ -641,6 +645,7 @@ def _brute_force_census(P: FinPoset, window):
     return list(out.values())
 
 
+@_timed
 def suite_truncation(seed=DEFAULT_SEED) -> dict:
     rng = rng_from_seed(seed + 61)
     census = _census_z()
@@ -725,6 +730,7 @@ def _localized_in_aisle(f, X: FormalObject, q) -> bool:
     return True
 
 
+@_timed
 def suite_orthogonality(seed=DEFAULT_SEED) -> dict:
     """Generator orthogonality agrees with the torsion-vanishing
     description of the co-aisle (the two faces of the classification)."""

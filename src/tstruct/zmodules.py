@@ -1,7 +1,9 @@
 """Exact linear algebra over Z.
 
 Smith normal form with unimodular transforms, bounded complexes of
-finite free Z-modules, their homology as finitely generated elementary
+finite sums of localizations Z[1/S] (finite free Z-modules when nothing
+is inverted) with their Koszul-sign tensor product, the homology of
+complexes of finite free Z-modules as finitely generated elementary
 modules (read off the invariant factors of the differentials, one Smith
 normal form each), supports, and the Hom/Ext/Tor tables for elementary
 modules.  All arithmetic is exact (Python integers).
@@ -10,6 +12,7 @@ modules.  All arithmetic is exact (Python integers).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .elementary import ElementaryModule
@@ -305,57 +308,104 @@ def tor(A: ElementaryModule, B: ElementaryModule) -> tuple[ElementaryModule, Ele
 
 
 # ---------------------------------------------------------------------------
-# free complexes
+# complexes of sums of localizations
+
+_RING = ZSubset.empty()  # the label of a plain Z summand: nothing inverted
+
+
+def _plain(labels: tuple) -> bool:
+    """Whether every summand is Z itself.  ``tuple.count`` tries identity
+    first, so rows of the shared ``_RING`` are read at C speed."""
+    flat = sum(labels, ())
+    return flat.count(_RING) == len(flat)
 
 
 @dataclass(frozen=True)
 class FreeComplex:
-    """A bounded complex of finite free Z-modules, differentials upward.
+    """A bounded complex whose degree-d term is a finite sum of Z[1/S],
+    differentials upward.
 
-    ``diffs[k]`` is the matrix of the map from degree ``min_degree + k``
-    to ``min_degree + k + 1`` acting on column vectors, so its shape is
-    (ranks[k+1], ranks[k]).  Composites must vanish.
+    ``labels[k]`` lists one ``ZSubset`` S of inverted primes, finite or
+    cofinite, per summand Z[1/S] of degree ``min_degree + k``; the empty
+    S labels Z itself, so a complex of finite free Z-modules has only
+    empty labels (build one from its ranks with ``FreeComplex.free``).
+    ``diffs[k]`` is the integer matrix of the map from degree
+    ``min_degree + k`` to the next one acting on column vectors, so its
+    shape is (len(labels[k+1]), len(labels[k])).  A nonzero entry
+    requires the source label to be contained in the target label, so
+    that multiplication lands where it should.  Composites must vanish.
+    Empty degrees at either end are trimmed, and the zero complex starts
+    in degree 0.
     """
 
     min_degree: int = 0
-    ranks: tuple = ()
+    labels: tuple = ()  # per degree: tuple of ZSubset
     diffs: tuple = ()  # tuple of matrices as tuples of tuples
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
-        if any(r < 0 for r in ranks):
-            raise ValueError("negative rank")
-        diffs = tuple(
-            tuple(tuple(int(x) for x in row) for row in M) for M in self.diffs
-        )
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "diffs", diffs)
-        if len(diffs) != max(len(ranks) - 1, 0):
+        labels = tuple(map(tuple, self.labels))
+        diffs = tuple(tuple(tuple(map(int, row)) for row in M) for M in self.diffs)
+        if len(diffs) != max(len(labels) - 1, 0):
             raise ValueError("need exactly one differential between consecutive terms")
         for k, M in enumerate(diffs):
-            rows = len(M)
-            cols = len(M[0]) if M else 0
-            if rows != ranks[k + 1] or (rows and cols != ranks[k]):
+            n = len(labels[k])
+            if len(M) != len(labels[k + 1]) or any(len(row) != n for row in M):
                 raise ValueError(f"differential {k} has wrong shape")
+        if not all(isinstance(s, ZSubset) and not s.is_whole for r in labels for s in r):
+            raise ValueError("a label must be a finite or cofinite ZSubset")
+        for k, M in enumerate(diffs):
+            for j, source in enumerate(labels[k]):
+                if not source.is_empty and any(
+                    row[j] and not source.issubset(target)
+                    for row, target in zip(M, labels[k + 1])
+                ):
+                    raise ValueError(
+                        "nonzero entry from a more-inverted into a less-inverted summand"
+                    )
+        # composites vanish over Q iff they vanish as integer products
         for k in range(len(diffs) - 1):
             A = [list(r) for r in diffs[k + 1]]
             B = [list(r) for r in diffs[k]]
-            if A and B and A[0] and B and not is_zero_matrix(matmul(A, B)):
+            if A and B and A[0] and not is_zero_matrix(matmul(A, B)):
                 raise ValueError("d o d != 0")
+        min_degree = self.min_degree
+        while labels and not labels[-1]:
+            labels = labels[:-1]
+            diffs = diffs[:-1]
+        while labels and not labels[0]:
+            labels = labels[1:]
+            diffs = diffs[1:]
+            min_degree += 1
+        if not labels:
+            min_degree = 0
+        object.__setattr__(self, "min_degree", min_degree)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "diffs", diffs)
 
     # -- access ---------------------------------------------------------------
 
     @property
+    def ranks(self) -> tuple:
+        """The number of summands in each degree."""
+        return tuple(map(len, self.labels))
+
+    @property
     def max_degree(self) -> int:
-        return self.min_degree + len(self.ranks) - 1
+        return self.min_degree + len(self.labels) - 1
 
     def degrees(self) -> range:
-        return range(self.min_degree, self.min_degree + len(self.ranks))
+        return range(self.min_degree, self.min_degree + len(self.labels))
+
+    def labels_at(self, d: int) -> tuple:
+        k = d - self.min_degree
+        if 0 <= k < len(self.labels):
+            return self.labels[k]
+        return ()
 
     def rank_at(self, d: int) -> int:
         k = d - self.min_degree
-        if 0 <= k < len(self.ranks):
-            return self.ranks[k]
+        if 0 <= k < len(self.labels):
+            return len(self.labels[k])
         return 0
 
     def diff_at(self, d: int) -> Matrix:
@@ -367,9 +417,38 @@ class FreeComplex:
 
     @property
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.ranks)
+        # empty degrees are trimmed at both ends, so a zero complex has no rows
+        return not self.labels
+
+    def _require_integral(self, what: str) -> None:
+        """Refuse a complex with an inverted summand where only complexes
+        of free Z-modules make sense."""
+        if not _plain(self.labels):
+            raise ValueError(f"{what} of a complex with inverted summands")
+
+    def _at(self, d: int) -> "FreeComplex":
+        """The same complex starting in degree d, with the same (unsigned)
+        differentials.  Its labels and differentials, all that validation
+        reads, are reused unchecked."""
+        if d == self.min_degree or self.is_zero:
+            return self
+        placed = object.__new__(FreeComplex)
+        object.__setattr__(placed, "min_degree", d)
+        object.__setattr__(placed, "labels", self.labels)
+        object.__setattr__(placed, "diffs", self.diffs)
+        return placed
 
     # -- builders -------------------------------------------------------------
+
+    @staticmethod
+    def free(min_degree: int, ranks, diffs=()) -> "FreeComplex":
+        """The complex of finite free Z-modules with ``ranks[k]`` summands
+        Z in degree ``min_degree + k``."""
+        ranks = tuple(map(int, ranks))
+        if ranks and min(ranks) < 0:
+            raise ValueError("negative rank")
+        # one row (_RING,) * r per degree
+        return FreeComplex(min_degree, tuple(map((_RING,).__mul__, ranks)), diffs)
 
     @staticmethod
     def zero() -> "FreeComplex":
@@ -377,13 +456,13 @@ class FreeComplex:
 
     @staticmethod
     def stalk_free(rank: int, degree: int = 0) -> "FreeComplex":
-        return FreeComplex(degree, (rank,), ())
+        return FreeComplex.free(degree, (rank,))
 
     @staticmethod
     def cyclic_resolution(n: int, degree: int = 0) -> "FreeComplex":
         """Two-term free resolution of Z/n sitting in homological degree
         ``degree`` (terms in degrees degree-1 and degree)."""
-        return FreeComplex(degree - 1, (1, 1), (((n,),),))
+        return FreeComplex.free(degree - 1, (1, 1), (((n,),),))
 
     @staticmethod
     def koszul(elements) -> "FreeComplex":
@@ -397,7 +476,7 @@ class FreeComplex:
         """
         out = FreeComplex.stalk_free(1, 0)
         for a in elements:
-            out = tensor(out, FreeComplex(-1, (1, 1), (((int(a),),),)))
+            out = tensor(out, FreeComplex.free(-1, (1, 1), (((int(a),),),)))
         return out
 
     def shift(self, k: int) -> "FreeComplex":
@@ -406,12 +485,14 @@ class FreeComplex:
             # odd translates negate the differential
             return FreeComplex(
                 self.min_degree - k,
-                self.ranks,
+                self.labels,
                 tuple(tuple(tuple(-x for x in row) for row in M) for M in self.diffs),
             )
-        return FreeComplex(self.min_degree - k, self.ranks, self.diffs)
+        return self._at(self.min_degree - k)
 
     def to_json(self) -> dict:
+        # the complex schema has ranks only, so a label cannot be written
+        self._require_integral("to_json")
         return {
             "minDeg": self.min_degree,
             "ranks": list(self.ranks),
@@ -420,7 +501,7 @@ class FreeComplex:
 
     @staticmethod
     def from_json(obj: dict) -> "FreeComplex":
-        return FreeComplex(
+        return FreeComplex.free(
             integer(obj.get("minDeg", 0), "minDeg"),
             tuple(integer(r, "rank") for r in obj.get("ranks", ())),
             tuple(
@@ -437,7 +518,7 @@ def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
         return X
     lo = min(X.min_degree, Y.min_degree)
     hi = max(X.max_degree, Y.max_degree)
-    ranks = [X.rank_at(d) + Y.rank_at(d) for d in range(lo, hi + 1)]
+    labels = [X.labels_at(d) + Y.labels_at(d) for d in range(lo, hi + 1)]
     diffs = []
     for d in range(lo, hi):
         A, B = X.diff_at(d), Y.diff_at(d)
@@ -451,68 +532,83 @@ def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
             for j in range(Y.rank_at(d)):
                 M[X.rank_at(d + 1) + i][X.rank_at(d) + j] = B[i][j]
         diffs.append(M)
-    return FreeComplex(lo, tuple(ranks), tuple(tuple(tuple(r) for r in M) for M in diffs))
+    return FreeComplex(lo, tuple(labels), tuple(tuple(tuple(r) for r in M) for M in diffs))
 
 
-def tensor(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
-    """Tensor product complex with the Koszul sign d(x@y) = dx@y + (-1)^i x@dy."""
-    if X.is_zero or Y.is_zero:
+def tensor(A: FreeComplex, B: FreeComplex) -> FreeComplex:
+    """Tensor product complex with the Koszul sign
+    d(a@b) = da@b + (-1)^i a@db; labels of summands unite.
+
+    Built once per shape: the signs read only the parity of A's degrees,
+    so the product of A placed at that parity and B placed at 0 is placed
+    at the sum of the start degrees.
+    """
+    if A.is_zero or B.is_zero:
         return FreeComplex.zero()
-    lo = X.min_degree + Y.min_degree
-    hi = X.max_degree + Y.max_degree
+    product = _tensor_product(A._at(A.min_degree % 2), B._at(0))
+    return product._at(A.min_degree + B.min_degree)
 
-    def blocks(d):
-        # ordered list of (i, j) with i + j = d contributing X^i (x) Y^j
-        return [
-            (i, d - i)
-            for i in X.degrees()
-            if Y.rank_at(d - i) and X.rank_at(i)
-        ]
 
-    def offset_table(d):
+@lru_cache(maxsize=None)
+def _tensor_product(A: FreeComplex, B: FreeComplex) -> FreeComplex:
+    lo = A.min_degree + B.min_degree
+    hi = A.max_degree + B.max_degree
+
+    def layout(d):
+        # the summands of degree d, block (i, j) = A^i (x) B^j at its offset
+        labels = []
         offs = {}
-        pos = 0
-        for (i, j) in blocks(d):
-            offs[(i, j)] = pos
-            pos += X.rank_at(i) * Y.rank_at(j)
-        return offs, pos
+        for i in A.degrees():
+            j = d - i
+            la, lb = A.labels_at(i), B.labels_at(j)
+            if la and lb:
+                offs[(i, j)] = len(labels)
+                for x in la:
+                    for y in lb:
+                        # the right operand is reused when it is the union
+                        labels.append(y if x.issubset(y) else x.join(y))
+        return offs, labels
 
-    ranks = []
-    tables = []
-    for d in range(lo, hi + 1):
-        offs, total = offset_table(d)
-        tables.append(offs)
-        ranks.append(total)
+    layouts = [layout(d) for d in range(lo, hi + 1)]
     diffs = []
     for d in range(lo, hi):
-        offs_s, total_s = tables[d - lo], ranks[d - lo]
-        offs_t, total_t = tables[d + 1 - lo], ranks[d + 1 - lo]
-        M = zeros(total_t, total_s)
+        offs_s, lab_s = layouts[d - lo]
+        offs_t, lab_t = layouts[d + 1 - lo]
+        M = zeros(len(lab_t), len(lab_s))
         for (i, j), base_s in offs_s.items():
-            rx, ry = X.rank_at(i), Y.rank_at(j)
-            # dX (x) 1 : block (i, j) -> (i+1, j)
+            ra, rb = A.rank_at(i), B.rank_at(j)
+            # dA (x) 1 : block (i, j) -> (i+1, j)
             if (i + 1, j) in offs_t:
                 base_t = offs_t[(i + 1, j)]
-                A = X.diff_at(i)
-                for a in range(X.rank_at(i + 1)):
-                    for b in range(rx):
-                        if A[a][b]:
-                            for c in range(ry):
-                                M[base_t + a * ry + c][base_s + b * ry + c] += A[a][b]
-            # (-1)^i 1 (x) dY : block (i, j) -> (i, j+1)
+                DA = A.diff_at(i)
+                for a in range(A.rank_at(i + 1)):
+                    for b in range(ra):
+                        if DA[a][b]:
+                            for c in range(rb):
+                                M[base_t + a * rb + c][base_s + b * rb + c] += DA[a][b]
+            # (-1)^i 1 (x) dB : block (i, j) -> (i, j+1)
             if (i, j + 1) in offs_t:
                 base_t = offs_t[(i, j + 1)]
-                B = Y.diff_at(j)
+                DB = B.diff_at(j)
                 sgn = -1 if i % 2 else 1
-                for b in range(rx):
-                    for a in range(Y.rank_at(j + 1)):
-                        for c in range(ry):
-                            if B[a][c]:
-                                M[base_t + b * Y.rank_at(j + 1) + a][
-                                    base_s + b * ry + c
-                                ] += sgn * B[a][c]
+                tb = B.rank_at(j + 1)
+                for b in range(ra):
+                    for a in range(tb):
+                        for c in range(rb):
+                            if DB[a][c]:
+                                M[base_t + b * tb + a][base_s + b * rb + c] += sgn * DB[a][c]
         diffs.append(M)
-    return FreeComplex(lo, tuple(ranks), tuple(tuple(tuple(r) for r in M) for M in diffs))
+    return FreeComplex(
+        lo,
+        tuple(tuple(lab) for _, lab in layouts),
+        tuple(tuple(tuple(r) for r in M) for M in diffs),
+    )
+
+
+def clear_caches():
+    """Empty the per-shape product cache of ``tensor``, which grows without
+    bound, so that a caller can scope it to one run."""
+    _tensor_product.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +629,7 @@ def homology(X: FreeComplex) -> dict[int, ElementaryModule]:
     >>> str(H.get(0, ElementaryModule.zero())), str(H.get(-1, ElementaryModule.zero()))
     ('Z/2', '0')
     """
+    X._require_integral("homology")
     # nonzero invariant factors of the differential leaving each degree
     factors = {
         d: [f for f in snf_invariants(X.diff_at(d)) if f] for d in X.degrees()[:-1]

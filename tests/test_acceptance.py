@@ -9,6 +9,7 @@ import pytest
 
 from conftest import record
 from tstruct import derived, suites
+from tstruct.zmodules import hom_ext_vanish
 
 BUDGETS = {
     "classification-round-trip": 10.0,
@@ -75,6 +76,22 @@ def test_criterion_5_generator_reduction():
     assert report["pairs"] == 200
 
 
+def test_criterion_5_catches_a_misplaced_ext_degree(monkeypatch):
+    # Ext^1 demanded from the degree of the source on: both engine routes
+    # share the stalk rule and still agree, the chain route does not
+    def misplaced(A, a, Y):
+        for b, E in Y.graded:
+            if b > a:
+                break
+            hom_zero, ext_zero = hom_ext_vanish(A, E)
+            if not hom_zero or (b - a <= 0 and not ext_zero):
+                return False
+        return True
+
+    monkeypatch.setattr(derived, "stalk_maps_vanish", misplaced)
+    assert not suites.criterion_generator_reduction(suites.DEFAULT_SEED)["ok"]
+
+
 def test_criterion_6_top_index():
     report = _run("top-index")
     assert report["pairs"] == 200
@@ -98,7 +115,7 @@ def test_criterion_9_discreteness():
 def test_module_invariant_suites(name):
     report = suites.run_suite(name)
     verdict = "PASS" if report["ok"] else "FAIL"
-    line = f"[invariants] {name}: {verdict}"
+    line = f"[invariants] {name}: {verdict} ({report['seconds']}s)"
     print(line)
     record(line)
     assert report["ok"], report

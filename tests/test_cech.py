@@ -6,11 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from functools import lru_cache
 
 from tstruct.cech import (
-    LocFreeComplex,
     _gamma_module,
     _integral_homology_mod,
     _quotient_module,
-    _tensor_blocks,
     cech_model,
     check_object,
     clear_caches,
@@ -34,7 +32,7 @@ from tstruct.corpus import (
     random_subset_z,
     rng_from_seed,
 )
-from tstruct import cech, derived
+from tstruct import cech, derived, zmodules
 from tstruct.derived import FormalObject, TruncationResult, from_free_complex, rgamma
 from tstruct.duality import DUALIZING
 from tstruct.elementary import ElementaryModule as EM
@@ -72,39 +70,44 @@ def test_model_shapes():
 
 
 def test_empty_rows_trim_to_the_zero_complex():
-    C = LocFreeComplex(3, ((), (), ()), ((), ()))
+    C = FreeComplex(3, ((), (), ()), ((), ()))
     assert C.labels == () and C.min_degree == 0 and C.is_zero
     # an empty row between nonempty ones stays, and the complex is not zero
-    D = LocFreeComplex(
+    D = FreeComplex(
         -1, ((), (E,), (), (E,), ()), (((),), (), ((),), ())
     )
     assert D.min_degree == 0 and len(D.labels) == 3 and not D.is_zero
     assert D._at(5).min_degree == 5 and not D._at(5).is_zero
+    # the free and JSON spellings trim zero-rank ends the same way
+    assert FreeComplex.stalk_free(0, 5) == FreeComplex.zero()
+    X = FreeComplex.from_json({"minDeg": 0, "ranks": [0, 1], "diffs": [[[]]]})
+    assert X == FreeComplex.stalk_free(1, 1)
+    assert X.to_json() == {"minDeg": 1, "ranks": [1], "diffs": []}
 
 
 def test_label_discipline():
     with pytest.raises(ValueError):
         # a map out of a more inverted summand into a less inverted one
-        LocFreeComplex(0, ((zf(2),), (E,)), (((1,),),))
+        FreeComplex(0, ((zf(2),), (E,)), (((1,),),))
     with pytest.raises(ValueError):
-        LocFreeComplex(0, ((E,), (E,), (E,)), (((1,),), ((1,),)))  # d o d != 0
+        FreeComplex(0, ((E,), (E,), (E,)), (((1,),), ((1,),)))  # d o d != 0
     # a label is a finite or cofinite subset: a bare set of primes, or
     # the whole spectrum (which names no set of primes), is refused
     with pytest.raises(ValueError):
-        LocFreeComplex(0, ((frozenset(),),), ())
+        FreeComplex(0, ((frozenset(),),), ())
     with pytest.raises(ValueError):
-        LocFreeComplex(0, ((E,), (frozenset({2}),)), (((1,),),))
+        FreeComplex(0, ((E,), (frozenset({2}),)), (((1,),),))
     with pytest.raises(ValueError):
-        LocFreeComplex(0, ((W,),), ())
+        FreeComplex(0, ((W,),), ())
     # an inclusion into a cofinite label is allowed, out of one it is not
-    LocFreeComplex(0, ((zf(2),), (ZSubset.cofinite([3]),)), (((1,),),))
+    FreeComplex(0, ((zf(2),), (ZSubset.cofinite([3]),)), (((1,),),))
     with pytest.raises(ValueError):
-        LocFreeComplex(0, ((ZSubset.cofinite([3]),), (zf(2),)), (((1,),),))
+        FreeComplex(0, ((ZSubset.cofinite([3]),), (zf(2),)), (((1,),),))
 
 
 def test_observables_divisible_signature():
     # derived 2-torsion of the ring: one growing summand, zero rational rank
-    W2 = tensor(LocFreeComplex.unit(), cech_model(zf(2)))
+    W2 = tensor(FreeComplex.stalk_free(1), cech_model(zf(2)))
     rep = fingerprints(W2, (2,))
     assert rep.fingerprint(2, 0) == (1, ())
     assert rep.fingerprint(2, 1) == (0, ())
@@ -117,7 +120,7 @@ def test_observables_divisible_signature():
 
 def test_fingerprint_finite_torsion():
     X = FreeComplex.cyclic_resolution(4, 0)
-    W4 = tensor(LocFreeComplex.from_free_complex(X), cech_model(zf(2)))
+    W4 = tensor(X, cech_model(zf(2)))
     rep = fingerprints(W4, (2,))
     # degree 0 carries Z/4, degree 1 nothing, and nothing grows
     assert rep.fingerprint(2, 0) == (0, ((2, 1),))
@@ -127,7 +130,7 @@ def test_fingerprint_finite_torsion():
 
 def test_whole_level_is_identity():
     X = FreeComplex.koszul([4, 6])
-    WX = tensor(LocFreeComplex.from_free_complex(X), cech_model(W))
+    WX = tensor(X, cech_model(W))
     assert check_object(from_free_complex(X), WX, (2, 3)).ok
 
 
@@ -171,7 +174,7 @@ def test_check_object_compares_ranks_when_rows_agree():
     # Z[1/2] against the zero model: neither side has a row at 2, so only
     # the rational rank tells them apart
     claim = FormalObject.stalk(EM.localized_free(zf(2), 1), 0)
-    rep = check_object(claim, LocFreeComplex.zero(), (2,))
+    rep = check_object(claim, FreeComplex.zero(), (2,))
     assert rep.mismatches == (("rational-rank", 0, 0, 0, 1),)
 
 
@@ -426,8 +429,8 @@ def test_atoms_of_rank_r_are_r_copies_of_one_block():
     for E_, label, r in ((EM.free(3), E, 3), (EM.localized_free(zf(2), 2), zf(2), 2)):
         F = FormalObject.stalk(E_, 1)
         model = formal_object_model(F)
-        assert model == (LocFreeComplex(1, ((label,),), ()),) * r
-        reference = LocFreeComplex(1, ((label,) * r,), ())
+        assert model == (FreeComplex(1, ((label,),), ()),) * r
+        reference = FreeComplex(1, ((label,) * r,), ())
         assert fingerprints(model, (2, 3)) == fingerprints(reference, (2, 3))
         for Z in (zf(2), zf(3, 5), MAXIMALS):
             for build in (cech_model, rq_model_complex):
@@ -472,9 +475,18 @@ def test_stalk_summed_rows_match_observed_step_models():
     assert steps > 1000
 
 
+def test_clear_caches_empties_the_block_product_cache():
+    # the product's cache belongs to zmodules; the oracle's clear empties it too
+    for clear in (zmodules.clear_caches, clear_caches):
+        tensor(FreeComplex.stalk_free(1), cech_model(zf(2)))
+        assert zmodules._tensor_product.cache_info().currsize > 0
+        clear()
+        assert zmodules._tensor_product.cache_info().currsize == 0
+
+
 def test_cone_of_augmentation_requires_unit():
     with pytest.raises(ValueError):
-        cone_of_augmentation(LocFreeComplex(0, ((zf(2),),), ()))
+        cone_of_augmentation(FreeComplex(0, ((zf(2),),), ()))
 
 
 # -- fingerprints on random formal objects ------------------------------------
@@ -551,11 +563,11 @@ def _dense_sum(A, B):
         for i, row in enumerate(MB):
             M[ta + i][la : la + len(row)] = row
         diffs.append(M)
-    return LocFreeComplex(lo, tuple(labels), tuple(diffs))
+    return FreeComplex(lo, tuple(labels), tuple(diffs))
 
 
 def _dense(model):
-    out = LocFreeComplex.zero()
+    out = FreeComplex.zero()
     for block in model:
         out = _dense_sum(out, block)
     return out
@@ -641,7 +653,7 @@ def _koszul_reference(A, B):
                         for c in range(rb):
                             M[base_t + b * tb + a][base_s + b * rb + c] += sgn * DB[a][c]
         diffs.append(M)
-    return LocFreeComplex(lo, tuple(tuple(lab) for _, lab in layouts), tuple(diffs))
+    return FreeComplex(lo, tuple(tuple(lab) for _, lab in layouts), tuple(diffs))
 
 
 def _tensor_reference(model, C):
@@ -665,7 +677,7 @@ def _tau_models_reference(i, Z, F):
 
 def _p_rows_reference(B, p):
     keep = [[j for j, lab in enumerate(row) if not lab.contains(p)] for row in B.labels]
-    K = FreeComplex(
+    K = FreeComplex.free(
         0,
         tuple(len(k) for k in keep),
         tuple(
@@ -699,7 +711,7 @@ def test_tau_single_models_match_stalkwise_reference(seed, i):
 
 def _some_blocks(rng):
     F = random_formal_object(rng)
-    X = LocFreeComplex.from_free_complex(random_free_complex(rng))
+    X = random_free_complex(rng)
     return list(formal_object_model(F)) + [X]
 
 
@@ -713,12 +725,12 @@ def test_placed_tensor_matches_koszul_product(seed, shift):
     rights = [cech_model(Z), rq_model_complex(Z), lefts[0], lefts[-1]]
     for A in lefts:
         # the same shape in a degree of each parity, B in two degrees
-        for A2 in (A, LocFreeComplex(A.min_degree + shift, A.labels, A.diffs)):
+        for A2 in (A, FreeComplex(A.min_degree + shift, A.labels, A.diffs)):
             for B in rights:
-                for B2 in (B, LocFreeComplex(B.min_degree - 1, B.labels, B.diffs)):
+                for B2 in (B, FreeComplex(B.min_degree - 1, B.labels, B.diffs)):
                     if A2.is_zero or B2.is_zero:
                         continue
-                    got = _tensor_blocks(A2, B2)
+                    got = zmodules.tensor(A2, B2)
                     assert _entries([got]) == _entries([_koszul_reference(A2, B2)])
                     assert tensor(A2, B2) == got
     model = tuple(lefts)

@@ -200,6 +200,8 @@ def _module(atoms):
         ({"minDeg": 0, "ranks": ["1"], "diffs": []}, ("truncate", "-f", "F", "-x", "{}")),
         ({"minDeg": 0, "ranks": [True], "diffs": []}, ("cm-check", "-x", "{}")),
         ({"minDeg": -1, "ranks": [1, 1], "diffs": [[["2"]]]}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"ranks": [2, 2], "diffs": [[[1, 0], [1]]]}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"ranks": [2, 2], "diffs": [[[1, 0], [0, 1, 5]]]}, ("truncate", "-f", "F", "-x", "{}")),
         ({"kind": "finite", "primes": [2.7, "3"]}, ("kashiwara", "--lemma", "1", "-z", "{}", "-x", "X", "-n", "0")),
         ({"kind": "cofinite", "primes": [5.5]}, ("kashiwara", "--lemma", "1", "-z", "{}", "-x", "X", "-n", "0")),
         ({"kind": "finite", "primes": "23"}, ("kashiwara", "--lemma", "2", "-z", "{}", "-x", "X", "-n", "0")),
@@ -219,7 +221,8 @@ def _module(atoms):
          "torsion-prime-4-member", "torsion-prime-4-both", "torsion-prime-0",
          "torsion-exponent-0", "torsion-exponent-float", "free-rank-bool",
          "prufer-mult-str", "complex-rank-float", "complex-rank-str", "complex-rank-bool",
-         "complex-entry-str", "subset-prime-float", "subset-cofinite-prime-float",
+         "complex-entry-str", "complex-row-short", "complex-row-long",
+         "subset-prime-float", "subset-cofinite-prime-float",
          "subset-primes-str", "subset-prime-0", "filtration-level-prime-float",
          "localized-inverted-prime-str", "localized-inverted-primes-str"],
 )

@@ -49,8 +49,14 @@ CANONICAL = canonical_filtration(SPEC_Z)
 def test_from_free_complex():
     assert str(from_free_complex(FreeComplex.koszul([2]))) == "{0: Z/2}"
     assert from_free_complex(FreeComplex.stalk_free(1, 0)) == Z_STALK
-    acyclic = FreeComplex(0, (1, 1), (((1,),),))
+    acyclic = FreeComplex.free(0, (1, 1), (((1,),),))
     assert from_free_complex(acyclic).is_zero
+
+
+def test_from_free_complex_refuses_inverted_labels():
+    X = FreeComplex(0, ((ZSubset.empty(),), (ZSubset.finite([2]),)), (((1,),),))
+    with pytest.raises(ValueError, match="inverted summands"):
+        from_free_complex(X)
 
 
 def test_gamma_rules():
@@ -248,7 +254,7 @@ def test_generator_reduction_fixtures():
     assert rep.agree and rep.via_hom_complex and rep.via_stalk_generators
     rep = generator_reduction_crosscheck(FreeComplex.stalk_free(1, 0), Z_STALK)
     assert rep.agree and not rep.via_hom_complex
-    acyclic = FreeComplex(0, (1, 1), (((1,),),))
+    acyclic = FreeComplex.free(0, (1, 1), (((1,),),))
     rep = generator_reduction_crosscheck(acyclic, Z_STALK)
     assert rep.agree and rep.via_hom_complex
 

@@ -201,14 +201,14 @@ def test_homology_fixtures():
     H = homology(K)
     assert H == {0: ElementaryModule.cyclic(2)}
     assert homology(FreeComplex.stalk_free(1, 0)) == {0: ElementaryModule.free(1)}
-    X = FreeComplex(0, (1, 1), (((0,),),))
+    X = FreeComplex.free(0, (1, 1), (((0,),),))
     assert homology(X) == {0: ElementaryModule.free(1), 1: ElementaryModule.free(1)}
 
 
 def test_homology_vs_brute_force_kernel_image():
     # an explicit complex checked against hand linear algebra:
     #   Z^2 --[[2,0],[0,0]]--> Z^2 --[[0,0],[0,3]]--> Z^2
-    X = FreeComplex(0, (2, 2, 2), (((2, 0), (0, 0)), ((0, 0), (0, 3))))
+    X = FreeComplex.free(0, (2, 2, 2), (((2, 0), (0, 0)), ((0, 0), (0, 3))))
     H = homology(X)
     # middle degree: ker = <e1>, image = <2 e1>: Z/2
     assert H[1] == ElementaryModule.cyclic(2)
@@ -250,7 +250,24 @@ def test_homology_values_are_canonical_fg_modules(X):
 
 def test_dd_zero_enforced():
     with pytest.raises(ValueError):
-        FreeComplex(0, (1, 1, 1), (((1,),), ((1,),)))
+        FreeComplex.free(0, (1, 1, 1), (((1,),), ((1,),)))
+
+
+def test_every_row_of_a_differential_is_checked():
+    # a short or a long row after a first row of the right length
+    for rows in (((1, 0), (1,)), ((1, 0), (0, 1, 5))):
+        with pytest.raises(ValueError, match="wrong shape"):
+            FreeComplex.free(0, (2, 2), (rows,))
+    assert FreeComplex.free(0, (2, 2), (((1, 0), (0, 1)),)).ranks == (2, 2)
+
+
+def test_inverted_labels_are_refused_where_only_free_complexes_make_sense():
+    # Z -> Z[1/2]: its homology is not finitely generated, and the complex
+    # schema has ranks only
+    X = FreeComplex(0, ((ZSubset.empty(),), (ZSubset.finite([2]),)), (((1,),),))
+    for read in (homology, lambda X: top_indices(X, 2), FreeComplex.to_json):
+        with pytest.raises(ValueError, match="inverted summands"):
+            read(X)
 
 
 def test_tensor_koszul():

@@ -44,6 +44,12 @@ differentials:
 
 Every distinct block still passes the label-containment and d∘d checks.
 
+Each kind of engine answer has one observation path.  rgamma and rq of
+a free complex X are observed on X tensored with the level's model.  A
+truncation along a filtration is observed step by step, each step
+stalk by stalk, and a constant filtration is one step whose cut lies
+above every degree of the object.
+
 An engine answer (a formal object) is checked by predicting the same
 fingerprints in closed form and demanding exact agreement.  Rows keep
 nonzero entries only, so the observed and predicted tables are
@@ -59,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .derived import FormalObject, from_free_complex, rgamma, rq, tau_single
+from .derived import FormalObject, TruncationResult, from_free_complex, rgamma, rq, tau_single
 from .elementary import ElementaryModule
 from .filtration import SpFiltration
 from .spectrum import ZSubset, fresh_prime
@@ -207,17 +213,6 @@ class OracleReport:
         if p not in self.primes:
             raise ValueError(f"prime {p} was not observed")
         return self.rows.get((p, d), _ZERO_ROW)
-
-    def divisible_signals(self):
-        """(p, d) rows whose growth count differs from the rational rank:
-        the signature of Pruefer or localized (non-finitely-generated)
-        homology touching p in degrees d or d+1."""
-        keys = self.rows.keys() | {(p, d) for p in self.primes for d in self.ranks}
-        return tuple(
-            (p, d)
-            for p, d in sorted(keys)
-            if self.rows.get((p, d), _ZERO_ROW)[0] != self.rank_at(d)
-        )
 
 
 def _mod_p_reduction(labels: tuple, diffs: tuple, p: int) -> tuple:
@@ -512,29 +507,13 @@ def _quotient_module(Z: ZSubset, E: ElementaryModule) -> ElementaryModule:
     return out
 
 
-def tau_single_models(i: int, Z: ZSubset, F: FormalObject):
-    """Chain models of the two vertices of the one-level truncation.
-
-    Works stalk by stalk on a split model of F: a fully absorbed stalk
-    contributes its stable Koszul tensor below and its localization cone
-    above; a stalk at the cut degree splits off its module-level torsion;
-    higher stalks pass through.  Each stalk's blocks are built in the
-    degree of its parity and placed by an even shift.  The step check
-    observes the same blocks stalk by stalk (``_tau_step_rows``).
-    """
-    lower = upper = ()
-    for d, E in F.graded:
-        parity = d % 2
-        low, up = _tau_stalk_models(E, Z, (d > i) - (d < i), parity)
-        shift = d - parity
-        lower += tuple(B._at(B.min_degree + shift) for B in low)
-        upper += tuple(B._at(B.min_degree + shift) for B in up)
-    return lower, upper
-
-
 def _tau_stalk_models(E: ElementaryModule, Z: ZSubset, side: int, d: int):
     """The lower and upper blocks of the stalk E in degree d, which lies
-    below (``side`` -1), at (0) or above (1) the cut."""
+    below (``side`` -1), at (0) or above (1) the cut of a one-level
+    truncation at Z: a fully absorbed stalk contributes its stable Koszul
+    tensor below and its localization cone above, a stalk at the cut
+    splits off its module-level torsion, and a higher stalk passes
+    through."""
     if side == 0:
         return (
             formal_object_model(FormalObject.stalk(_gamma_module(Z, E), d)),
@@ -558,10 +537,12 @@ def _tau_stalk_rows(E: ElementaryModule, Z: ZSubset, side: int, d: int, primes: 
 
 
 def _tau_step_rows(i: int, Z: ZSubset, F: FormalObject, primes: tuple) -> tuple:
-    """The ``(ranks, rows)`` dicts that ``tau_single_models(i, Z, F)``
-    shows at sorted primes, one pair per vertex.  Homology is additive,
-    so each stalk's rows are observed once, in the degree of its parity,
-    and added with its even shift."""
+    """The ``(ranks, rows)`` dicts, one pair per vertex, that the chain
+    models of the one-level truncation of F at (i, Z) show at sorted
+    primes.  The models are those of a split model of F, stalk by stalk
+    (``_tau_stalk_models``).  Homology is additive, so each stalk's rows
+    are observed once, on blocks built in the degree of its parity, and
+    added with its even shift."""
     lower, upper = ({}, {}), ({}, {})
     for d, E in F.graded:
         parity = d % 2
@@ -581,12 +562,6 @@ def _check_tau_step(i: int, Z: ZSubset, F: FormalObject, res, primes: tuple) -> 
     )
 
 
-def validate_tau_single(i: int, Z: ZSubset, F: FormalObject) -> ValidationReport:
-    """Engine one-level truncation versus the chain models, both vertices."""
-    res = tau_single(i, Z, F)
-    return _check_tau_step(i, Z, F, res, _relevant_primes(Z, F, res.lower, res.upper))
-
-
 def validate_tau_filtration(filtration: SpFiltration, F: FormalObject) -> ValidationReport:
     """Validate every one-level step of the composed truncation.
 
@@ -598,17 +573,16 @@ def validate_tau_filtration(filtration: SpFiltration, F: FormalObject) -> Valida
     vertices name, so a prime the engine invents is observed too.  Every
     step's input descends from F along the filtration, so a fresh prime
     is observed when F, the filtration or the step names a cofinite set.
+
+    A constant filtration at Z is one step whose cut lies above every
+    degree of F: its claim is ``(rgamma(Z, F), rq(Z, F))``, checked at
+    the primes of Z, F and both vertices.
     """
     if filtration.is_constant:
         Z = filtration.tail
-        mism = []
-        for build, claim in (
-            (cech_model, rgamma(Z, F)),
-            (rq_model_complex, rq(Z, F)),
-        ):
-            W = tensor(formal_object_model(F), build(Z))
-            mism.extend(check_object(claim, W, _relevant_primes(Z, F, claim)).mismatches)
-        return ValidationReport.of(mism)
+        claim = TruncationResult(rgamma(Z, F), rq(Z, F))
+        cut = max(F.degrees(), default=0) + 1
+        return _check_tau_step(cut, Z, F, claim, _relevant_primes(Z, F, *claim))
     s, n = filtration.determined_interval()
     known = F.mentioned_primes() | filtration.mentioned_primes()
     named = filtration.all_level_values() + [t for _, _, t, _ in F.nonfg_atoms()]
@@ -622,14 +596,6 @@ def validate_tau_filtration(filtration: SpFiltration, F: FormalObject) -> Valida
         mism.extend(_check_tau_step(j, Z, current, step, pr).mismatches)
         current = step.upper
     return ValidationReport.of(mism)
-
-
-def divisible_rank_detection(F: FormalObject, primes=None):
-    """Observe a model of F and report the (p, degree) rows where growth
-    count and rational rank part ways: the chain-level signature of
-    non-finitely-generated homology."""
-    W = formal_object_model(F)
-    return fingerprints(W, primes or _relevant_primes(F)).divisible_signals()
 
 
 def no_maps_into_nonpositive_shifts(X: FreeComplex, Y: FormalObject) -> bool:

@@ -89,6 +89,9 @@ def _load_object(path: str) -> FormalObject:
             return FormalObject.from_json(obj)
     except _BAD_PAYLOAD as exc:
         raise UsageError(f"bad complex payload: {exc}")
+    except (MemoryError, OverflowError):
+        # a free complex holds one label per summand
+        raise UsageError("bad complex payload: a rank is too large to hold")
     raise UsageError("complex payload needs 'ranks' (free complex) or 'graded'")
 
 

@@ -333,7 +333,11 @@ class FinPoset:
         for p in points:
             if not isinstance(p, str):
                 raise TypeError(f"point id must be a string, got {p!r}")
-        return cls(points, [tuple(c) for c in obj.get("covers", ())])
+        covers = obj.get("covers", ())
+        for c in covers:
+            if not (isinstance(c, list) and len(c) == 2):
+                raise TypeError(f"a cover must be a list of two point ids, got {c!r}")
+        return cls(points, [tuple(c) for c in covers])
 
 
 class SpecZ:
@@ -757,7 +761,10 @@ class CodimFn:
         missing = [p for p in spectrum.points if p not in values]
         if missing:
             raise ValueError(f"codimension function not total, missing {missing!r}")
-        return CodimFn(spectrum, tuple(sorted((p, int(values[p])) for p in spectrum.points)))
+        return CodimFn(
+            spectrum,
+            tuple(sorted((p, integer(values[p], f"codimension of {p!r}")) for p in spectrum.points)),
+        )
 
     @staticmethod
     def for_specz(generic_value: int, maximal_value: int) -> "CodimFn":

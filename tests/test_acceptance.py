@@ -8,7 +8,7 @@ budget where one applies.  The same suites back ``tstruct verify``.
 import pytest
 
 from conftest import record
-from tstruct import derived, suites
+from tstruct import cech, derived, suites
 from tstruct.zmodules import hom_ext_vanish
 
 BUDGETS = {
@@ -43,20 +43,18 @@ def test_criterion_2_weak_cousin_necessity():
     assert report["violating"] > 0
 
 
-def test_divisible_signal_cache_lives_for_one_criterion():
+def test_truncation_memo_lives_for_one_criterion():
     suites.criterion_cousin_necessity(suites.DEFAULT_SEED)
-    assert suites._cached_divisible_signals.cache_info().currsize > 0
     assert derived.tau_single.cache_info().currsize > 0
     seen = []
 
     @suites._timed
     def next_criterion():
-        seen.append(suites._cached_divisible_signals.cache_info().currsize)
         seen.append(derived.tau_single.cache_info().currsize)
         return {}
 
     next_criterion()
-    assert seen == [0, 0]
+    assert seen == [0]
 
 
 def test_criterion_3_weak_cousin_sufficiency():
@@ -69,6 +67,28 @@ def test_criterion_4_engine_oracle_agreement():
     report = _run("engine-oracle-agreement")
     assert report["distinct"] == report["complexes"] >= 500
     assert report["violating"] > 0
+
+
+def test_criterion_4_catches_a_doubled_pruefer_multiplicity(monkeypatch):
+    # the Pruefer part of local cohomology counted twice: criterion 2
+    # checks the engine only and still passes, the witness loop of
+    # criterion 4 observes the truncations and does not
+    honest = derived.gamma_and_r1
+
+    def doubled(Z, E):
+        g, r1 = honest(Z, E)
+        return g, r1 + r1
+
+    monkeypatch.setattr(derived, "gamma_and_r1", doubled)
+    try:
+        report = suites.criterion_oracle_agreement(suites.DEFAULT_SEED, n_complexes=0)
+        assert not report["ok"]
+        assert report["failures"] and all(f[-1] == "tau-witness" for f in report["failures"])
+        assert suites.criterion_cousin_necessity(suites.DEFAULT_SEED)["ok"]
+    finally:
+        # the mutant's memoized steps and models must not reach later tests
+        derived.tau_single.cache_clear()
+        cech.clear_caches()
 
 
 def test_criterion_5_generator_reduction():
@@ -89,7 +109,9 @@ def test_criterion_5_catches_a_misplaced_ext_degree(monkeypatch):
         return True
 
     monkeypatch.setattr(derived, "stalk_maps_vanish", misplaced)
-    assert not suites.criterion_generator_reduction(suites.DEFAULT_SEED)["ok"]
+    # and so does the radical-invariance check of the truncation suite
+    for suite in (suites.criterion_generator_reduction, suites.suite_truncation):
+        assert not suite(suites.DEFAULT_SEED)["ok"]
 
 
 def test_criterion_6_top_index():

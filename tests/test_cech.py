@@ -13,17 +13,14 @@ from tstruct.cech import (
     check_object,
     clear_caches,
     cone_of_augmentation,
-    divisible_rank_detection,
     fingerprints,
     formal_object_model,
     predicted_fingerprints,
     rq_model_complex,
-    tau_single_models,
     tensor,
     validate_rgamma,
     validate_rq,
     validate_tau_filtration,
-    validate_tau_single,
 )
 from tstruct.corpus import (
     DEFAULT_PRIMES,
@@ -42,6 +39,7 @@ from tstruct.filtration import (
     constant_filtration,
     enumerate_census_class,
     from_values,
+    step_filtration,
     weak_cousin,
 )
 from tstruct.spectrum import SPEC_Z, ZSubset
@@ -112,7 +110,6 @@ def test_observables_divisible_signature():
     assert rep.fingerprint(2, 0) == (1, ())
     assert rep.fingerprint(2, 1) == (0, ())
     assert rep.rank_at(0) == 0 and rep.rank_at(1) == 0
-    assert rep.divisible_signals() == ((2, 0),)
     # engine's answer (a Pruefer sum in degree 1) predicts the same rows
     claimed = rgamma(zf(2), FormalObject.free_stalk(1, 0))
     assert check_object(claimed, W2, (2,)).ok
@@ -125,7 +122,6 @@ def test_fingerprint_finite_torsion():
     # degree 0 carries Z/4, degree 1 nothing, and nothing grows
     assert rep.fingerprint(2, 0) == (0, ((2, 1),))
     assert rep.fingerprint(2, 1) == (0, ())
-    assert rep.divisible_signals() == ()
 
 
 def test_whole_level_is_identity():
@@ -197,11 +193,29 @@ def test_tau_validation_observes_primes_a_later_step_invents(monkeypatch):
     assert rep.mismatches == (("fingerprint", 7, 5, (0, ()), (0, ((1, 1),))),)
 
 
+@pytest.mark.parametrize("functor", ["rgamma", "rq"])
+def test_constant_filtration_check_rejects_a_wrong_vertex(monkeypatch, functor):
+    # a constant filtration is one step with rgamma below and rq above; a
+    # Z/7 in degree 5 added to either vertex is the one mismatch seen
+    honest = getattr(cech, functor)
+    monkeypatch.setattr(cech, functor, lambda Z, F: honest(Z, F) + FormalObject.cyclic_stalk(7, 5))
+    objects = [
+        FormalObject.zero(),
+        FormalObject.free_stalk(1, 0),
+        FormalObject.free_stalk(1, 1) + FormalObject.cyclic_stalk(6, 1),
+        FormalObject.stalk(EM.prufer_sum(zf(2), 1), 1),
+    ]
+    for Z in (W, E, zf(2), ZSubset.cofinite([3])):
+        for F in objects:
+            rep = validate_tau_filtration(constant_filtration(SPEC_Z, Z), F)
+            assert rep.mismatches == (("fingerprint", 7, 5, (0, ()), (0, ((1, 1),))),)
+
+
 def test_tau_validation_fixtures():
     X = FormalObject.free_stalk(1, 0)
-    assert validate_tau_single(1, zf(2), X).ok
-    assert validate_tau_single(0, zf(2), X).ok
-    assert validate_tau_single(-1, zf(2), X).ok
+    assert validate_tau_filtration(step_filtration(SPEC_Z, 1, zf(2)), X).ok
+    assert validate_tau_filtration(step_filtration(SPEC_Z, 0, zf(2)), X).ok
+    assert validate_tau_filtration(step_filtration(SPEC_Z, -1, zf(2)), X).ok
     repeated_level = from_values(SPEC_Z, {0: zf(2), 1: zf(2)}, zf(2), E)
     assert validate_tau_filtration(repeated_level, X).ok
     assert validate_tau_filtration(canonical_filtration(SPEC_Z), X).ok
@@ -214,7 +228,7 @@ def test_tau_validation_fixtures():
         )
     )
     for i in (-2, -1, 0, 1, 2):
-        assert validate_tau_single(i, zf(2, 3), mixed).ok
+        assert validate_tau_filtration(step_filtration(SPEC_Z, i, zf(2, 3)), mixed).ok
 
 
 # -- cofinite sets of maximal ideals ------------------------------------------
@@ -268,7 +282,7 @@ def test_cofinite_atoms_are_modelled():
     for F in (loc, pru, loc + pru):
         for Z in (W, E, zf(2), zf(3, 5), MAXIMALS, ZSubset.cofinite([2])):
             for i in (-1, 0, 1):
-                assert validate_tau_single(i, Z, F).ok
+                assert validate_tau_filtration(step_filtration(SPEC_Z, i, Z), F).ok
             assert validate_tau_filtration(constant_filtration(SPEC_Z, Z), F).ok
 
 
@@ -379,9 +393,7 @@ def test_deep_torsion_is_exact():
     model = formal_object_model(deep)
     rep = fingerprints(model, (2,))
     assert rep.fingerprint(2, 0) == (0, ((11, 1), (23, 1), (47, 1)))
-    assert rep.divisible_signals() == ()
     assert check_object(deep, model, (2,)).ok
-    assert divisible_rank_detection(deep) == ()
 
 
 def test_deep_torsion_rejected():
@@ -393,17 +405,6 @@ def test_deep_torsion_rejected():
     assert rep.mismatches == (
         ("fingerprint", 2, 0, (0, ((13, 1),)), (0, ((20, 1),))),
     )
-
-
-def test_divisible_rank_detection():
-    assert divisible_rank_detection(
-        FormalObject.stalk(EM.prufer_sum(zf(2), 1), 1)
-    ) == ((2, 0),)
-    assert divisible_rank_detection(
-        FormalObject.stalk(EM.localized_free(zf(3), 1), 0), primes=(3,)
-    ) == ((3, 0),)
-    fg = FormalObject.free_stalk(2, 0) + FormalObject.cyclic_stalk(8, 1)
-    assert divisible_rank_detection(fg, primes=(2, 3)) == ()
 
 
 def test_predicted_observables_consistency():
@@ -452,7 +453,8 @@ def _steps(f, F):
 def test_stalk_summed_rows_match_observed_step_models():
     # every step of the census and of the cofinite census, on corpus
     # objects with localized and Pruefer atoms, at two prime sets per step
-    # within one cache lifetime, so a cached stalk is read at both
+    # within one cache lifetime, so a cached stalk is read at both: the
+    # rows added up stalk by stalk are those of the reference models
     clear_caches()
     census = _census_z() + tuple(_cofinite_census())
     rng = rng_from_seed(1515)
@@ -468,7 +470,7 @@ def test_stalk_summed_rows_match_observed_step_models():
             for j, Z, current in _steps(f, F):
                 for primes in ((2,), cech._relevant_primes(Z, current, known=(2, 3, 5, 7))):
                     got = cech._tau_step_rows(j, Z, current, primes)
-                    for rows, model in zip(got, tau_single_models(j, Z, current)):
+                    for rows, model in zip(got, _tau_models_reference(j, Z, current)):
                         want = fingerprints(model, primes)
                         assert rows == (want.ranks, want.rows)
                 steps += 1
@@ -577,7 +579,6 @@ def _assert_blockwise_equals_dense(model, primes):
     dense = _dense(model)
     got, want = fingerprints(model, primes), fingerprints(dense, primes)
     assert got == want
-    assert got.divisible_signals() == want.divisible_signals()
     # every row lies in the blocks' own degrees, so no window could cut one
     degrees = got.ranks.keys() | {d for _, d in got.rows}
     assert all(
@@ -606,7 +607,7 @@ def test_blockwise_observation_matches_dense_assembly(seed, i):
     F = random_formal_object(rng)
     Z = random_subset_z(rng)
     primes = tuple(sorted(set(_primes(F)) | set(Z.primes)))
-    lower, upper = tau_single_models(i, Z, F)
+    lower, upper = _tau_models_reference(i, Z, F)
     for model in (formal_object_model(F), lower, upper):
         _assert_blockwise_equals_dense(model, primes)
 
@@ -616,7 +617,10 @@ def test_blockwise_observation_matches_dense_assembly(seed, i):
 # The references below build every block afresh, at its own degrees:
 # the Koszul product, the stalk-by-stalk truncation models and the
 # homology of each p-reduction.  The oracle builds each distinct shape
-# once and places it by a shift, so the two must agree block for block.
+# once and places it by a shift, so the two must agree block for block;
+# the oracle's truncation steps, observed stalk by stalk, must show the
+# rows of the reference truncation models
+# (``test_stalk_summed_rows_match_observed_step_models``).
 
 
 def _koszul_reference(A, B):
@@ -696,19 +700,6 @@ def _entries(model):
     return [(B.min_degree, B.labels, B.diffs) for B in model]
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(-4, 4))
-def test_tau_single_models_match_stalkwise_reference(seed, i):
-    clear_caches()
-    rng = rng_from_seed(seed)
-    F = random_formal_object(rng)
-    Z = random_subset_z(rng)
-    for cut in (i, i + 1):  # the second call reuses the first one's stalks
-        got, want = tau_single_models(cut, Z, F), _tau_models_reference(cut, Z, F)
-        assert _entries(got[0]) == _entries(want[0])
-        assert _entries(got[1]) == _entries(want[1])
-
-
 def _some_blocks(rng):
     F = random_formal_object(rng)
     X = random_free_complex(rng)
@@ -744,7 +735,7 @@ def test_homology_per_reduction_matches_reference(seed):
     rng = rng_from_seed(seed)
     F = random_formal_object(rng)
     Z = random_subset_z(rng)
-    lower, upper = tau_single_models(0, Z, F)
+    lower, upper = _tau_models_reference(0, Z, F)
     for B in formal_object_model(F) + lower + upper:
         for p in DEFAULT_PRIMES + (7,):
             assert _integral_homology_mod(B.labels, B.diffs, p) == _p_rows_reference(B, p)

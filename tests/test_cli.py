@@ -179,6 +179,10 @@ def _module(atoms):
         ({"points": [{"id": None}, {"id": "m"}]}, ("census", "--spectrum", "{}", "--window", "0..1")),
         (5, ("kashiwara", "--lemma", "1", "-z", "{}", "-x", "X", "-n", "0")),
         (5, ("cm", "--spectrum", "two-chain", "--codim", "{}")),
+        ({"p": 0.5, "m": 1.9}, ("cm", "--spectrum", "two-chain", "--codim", "{}")),
+        ({"p": True, "m": 2}, ("cm", "--spectrum", "two-chain", "--codim", "{}")),
+        ({"points": [{"id": "p"}, {"id": "m"}], "covers": ["pm"]},
+         ("census", "--spectrum", "{}", "--window", "0..1")),
         ({"graded": [["x", {"free": 1}]]}, ("truncate", "-f", "F", "-x", "{}")),
         ({"graded": [[0.5, {"free": 1}]]}, ("truncate", "-f", "F", "-x", "{}")),
         ({"graded": [[True, {"free": 1}]]}, ("truncate", "-f", "F", "-x", "{}")),
@@ -199,6 +203,8 @@ def _module(atoms):
         ({"minDeg": 0, "ranks": [1.7], "diffs": []}, ("truncate", "-f", "F", "-x", "{}")),
         ({"minDeg": 0, "ranks": ["1"], "diffs": []}, ("truncate", "-f", "F", "-x", "{}")),
         ({"minDeg": 0, "ranks": [True], "diffs": []}, ("cm-check", "-x", "{}")),
+        ({"minDeg": 0, "ranks": [2**53], "diffs": []}, ("truncate", "-f", "F", "-x", "{}")),
+        ({"minDeg": 0, "ranks": [2**64], "diffs": []}, ("cm-check", "-x", "{}")),
         ({"minDeg": -1, "ranks": [1, 1], "diffs": [[["2"]]]}, ("truncate", "-f", "F", "-x", "{}")),
         ({"ranks": [2, 2], "diffs": [[[1, 0], [1]]]}, ("truncate", "-f", "F", "-x", "{}")),
         ({"ranks": [2, 2], "diffs": [[[1, 0], [0, 1, 5]]]}, ("truncate", "-f", "F", "-x", "{}")),
@@ -214,13 +220,15 @@ def _module(atoms):
          ("truncate", "-f", "F", "-x", "{}")),
     ],
     ids=["census-spectrum-empty", "census-spectrum-int", "census-spectrum-null-id",
-         "kashiwara-subset-int", "cm-codim-int", "graded-degree-str",
+         "kashiwara-subset-int", "cm-codim-int", "cm-codim-float", "cm-codim-bool",
+         "census-spectrum-cover-str", "graded-degree-str",
          "graded-degree-float", "graded-degree-bool", "complex-diffs-without-ranks",
          "complex-min-degree-float", "filtration-start-null",
          "torsion-prime-str-both", "torsion-prime-str-profile", "torsion-prime-4-truncate",
          "torsion-prime-4-member", "torsion-prime-4-both", "torsion-prime-0",
          "torsion-exponent-0", "torsion-exponent-float", "free-rank-bool",
          "prufer-mult-str", "complex-rank-float", "complex-rank-str", "complex-rank-bool",
+         "complex-rank-2**53", "complex-rank-2**64",
          "complex-entry-str", "complex-row-short", "complex-row-long",
          "subset-prime-float", "subset-cofinite-prime-float",
          "subset-primes-str", "subset-prime-0", "filtration-level-prime-float",

@@ -106,7 +106,7 @@ def _load_spectrum(arg: str):
 
 
 def _codim_for(spectrum, path):
-    if spectrum.is_specz:
+    if spectrum == SPEC_Z:
         if path is not None:
             raise UsageError("Spec(Z) has a fixed codimension function; drop --codim")
         return DUALIZING.codim
@@ -154,9 +154,10 @@ def _cmd_dual(args) -> int:
 
 def _cmd_localize(args) -> int:
     f = _load_filtration(args.filtration)
-    point = args.point
-    if f.spectrum.is_specz:
-        point = 0 if point in ("0", "(0)") else int(point.strip("()"))
+    try:
+        point = f.spectrum.check_point(args.point)
+    except ValueError as exc:
+        raise UsageError(f"bad point: {exc}")
     _emit(localize(f, point).to_json())
     return 0
 
@@ -169,7 +170,7 @@ def _cmd_census(args) -> int:
     except ValueError:
         raise UsageError(f"bad window {args.window!r}, expected a..b")
     universe = None
-    if spectrum.is_specz:
+    if spectrum == SPEC_Z:
         universe = tuple(int(p) for p in args.universe.split(","))
     census = enumerate_weak_cousin(spectrum, window, universe=universe, cap=args.cap)
     payload = {"count": len(census)}

@@ -343,7 +343,7 @@ def tau_filtration(filtration: SpFiltration, X: FormalObject) -> TruncationResul
 
 
 def _require_specz(filtration: SpFiltration):
-    if not filtration.spectrum.is_specz:
+    if filtration.spectrum != SPEC_Z:
         raise ValueError("the derived engine computes over Spec(Z) only")
 
 

@@ -15,7 +15,6 @@ homology, which is what the census and report machinery here feeds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,22 +22,15 @@ from .jsonio import integer
 from .spectrum import (
     CodimFn,
     FinPoset,
-    GENERIC,
     PosetSubset,
     SPEC_Z,
     ZSubset,
-    all_up_sets,
-    empty_subset,
-    fresh_prime,
     is_connected,
     is_open_closed,
-    sample_points,
     specialization_closure,
     subset_from_json,
     spectrum_from_json,
     validate_codim_fn,
-    whole_subset,
-    zpoint,
 )
 
 
@@ -64,7 +56,8 @@ class SpFiltration:
     def __post_init__(self):
         subsets = (self.tail, *self.levels, self.head)
         for s in subsets:
-            _check_subset(self.spectrum, s)
+            if getattr(s, "spectrum", None) != self.spectrum:
+                raise ValueError("level subset belongs to a different spectrum")
         prev = self.tail
         for s in (*self.levels, self.head):
             if not s.issubset(prev):
@@ -137,7 +130,7 @@ class SpFiltration:
         return [self.tail, *self.levels, self.head]
 
     def mentioned_primes(self) -> frozenset[int]:
-        """Primes named in finite/cofinite level data (Spec(Z) only)."""
+        """Primes named in finite/cofinite level data (none over a poset)."""
         out: set[int] = set()
         for s in self.all_level_values():
             out |= set(s.primes)
@@ -172,15 +165,6 @@ class SpFiltration:
         )
 
 
-def _check_subset(spectrum, s):
-    if spectrum.is_specz:
-        if not isinstance(s, ZSubset):
-            raise ValueError("levels over Spec(Z) must be ZSubset values")
-    else:
-        if not isinstance(s, PosetSubset) or s.spectrum != spectrum:
-            raise ValueError("level subset belongs to a different spectrum")
-
-
 # -- constructors ------------------------------------------------------------
 
 
@@ -190,12 +174,12 @@ def constant_filtration(spectrum, value) -> SpFiltration:
 
 def canonical_filtration(spectrum) -> SpFiltration:
     """Whole spectrum for j <= 0, empty after: the standard aisle at 0."""
-    return SpFiltration(spectrum, whole_subset(spectrum), 1, (), empty_subset(spectrum))
+    return SpFiltration(spectrum, spectrum.whole(), 1, (), spectrum.empty())
 
 
 def step_filtration(spectrum, i: int, Z) -> SpFiltration:
     """Z for j <= i, empty after (a length-1 filtration when Z is nonempty)."""
-    return SpFiltration(spectrum, Z, i + 1, (), empty_subset(spectrum))
+    return SpFiltration(spectrum, Z, i + 1, (), spectrum.empty())
 
 
 def from_values(spectrum, values: dict, tail, head) -> SpFiltration:
@@ -212,21 +196,7 @@ def from_values(spectrum, values: dict, tail, head) -> SpFiltration:
 
 
 # ---------------------------------------------------------------------------
-# covering-pair iteration, uniform over both spectrum models
-
-
-def _cover_pairs(spectrum, named=()):
-    """Covering pairs (p, q) relevant to Cousin checks.
-
-    Over a finite poset these are the poset covers.  Over Spec(Z) every
-    cover is (generic, (q)); the ``named`` primes plus one fresh prime
-    represent all of them faithfully, because membership of unnamed
-    primes in every level is uniform.
-    """
-    if not spectrum.is_specz:
-        return sorted(spectrum.covers)
-    generic = zpoint(GENERIC)
-    return [(generic, q) for q in sample_points(ZSubset.cofinite(()), named)]
+# Cousin conditions
 
 
 @dataclass(frozen=True)
@@ -240,8 +210,7 @@ class CousinReport:
 
 def _cousin(filtration: SpFiltration, want_converse: bool) -> CousinReport:
     witnesses = []
-    spec = filtration.spectrum
-    pairs = _cover_pairs(spec, filtration.mentioned_primes() if spec.is_specz else ())
+    pairs = filtration.spectrum.cover_pairs(filtration.mentioned_primes())
     for j in filtration.check_range():
         lvl, prev = filtration.value(j), filtration.value(j - 1)
         for p, q in pairs:
@@ -277,32 +246,16 @@ def strong_cousin(filtration: SpFiltration) -> CousinReport:
 
 
 def localize_spectrum(spectrum, q):
-    """The sub-spectrum of generalizations of q, as a finite poset, with a
-    membership predicate for transporting subsets."""
-    if spectrum.is_specz:
-        pt = zpoint(q)
-        if pt.is_generic:
-            sub = FinPoset(["0"], [])
-            return sub, lambda level: frozenset(["0"]) if level.is_whole else frozenset()
-        name = str(pt)
-        sub = FinPoset(["0", name], [("0", name)])
-
-        def transport(level, name=name, p=pt.p):
-            pts = set()
-            if level.is_whole:
-                pts.add("0")
-            if level.contains(p):
-                pts.add(name)
-            return frozenset(pts)
-
-        return sub, transport
-    spectrum.check_point(q)
-    keep = {p for p in spectrum.points if spectrum.leq(p, q)}
+    """The sub-spectrum of generalizations of q, as a finite poset named
+    by the printed points, with a membership predicate for transporting
+    subsets."""
+    q = spectrum.check_point(q)
+    keep = [p for p in spectrum.sample([q]) if p == q or spectrum.lt(p, q)]
     sub = FinPoset(
-        [p for p in spectrum.points if p in keep],
-        [c for c in spectrum.covers if c[0] in keep and c[1] in keep],
+        [str(p) for p in keep],
+        [(str(a), str(b)) for a, b in spectrum.cover_pairs([q]) if a in keep and b in keep],
     )
-    return sub, lambda level: frozenset(level.points & keep)
+    return sub, lambda level: frozenset(str(p) for p in keep if level.contains(p))
 
 
 def localize(filtration: SpFiltration, q) -> SpFiltration:
@@ -340,22 +293,10 @@ def cm_filtration(codim: CodimFn) -> SpFiltration:
         raise ValueError(f"not a codimension function, witness {witness!r}")
     spec = codim.spectrum
     lo, hi = codim.min_value(), codim.max_value()
-    if spec.is_specz:
-        levels = tuple(ZSubset.cofinite([]) for _ in range(lo, hi))
-        return SpFiltration(spec, ZSubset.whole(), lo, levels, ZSubset.empty())
     levels = tuple(
-        PosetSubset(spec, frozenset(p for p in spec.points if codim.value(p) > i))
-        for i in range(lo, hi)
+        spec.subset(p for p in spec.sample() if codim.value(p) > i) for i in range(lo, hi)
     )
-    return SpFiltration(spec, whole_subset(spec), lo, levels, empty_subset(spec))
-
-
-def _candidate_points(filtration: SpFiltration):
-    spec = filtration.spectrum
-    if spec.is_specz:
-        yield from sample_points(ZSubset.whole(), filtration.mentioned_primes())
-    else:
-        yield from spec.points
+    return SpFiltration(spec, spec.whole(), lo, levels, spec.empty())
 
 
 def dual_filtration(filtration: SpFiltration, codim: CodimFn) -> SpFiltration:
@@ -380,17 +321,15 @@ def dual_filtration(filtration: SpFiltration, codim: CodimFn) -> SpFiltration:
         raise ValueError(f"not a codimension function, witness {witness!r}")
     spec = filtration.spectrum
     cm = cm_filtration(codim)
+    named = filtration.mentioned_primes()
+    pts = spec.sample(named)
+    # points whose closure misses the tail survive at every k
+    head = spec.subset(
+        (q for q in pts if specialization_closure([q], spec).meet(filtration.tail).is_empty),
+        named,
+    )
     if filtration.is_constant:
-        const = filtration.tail
-        if const.is_empty:
-            return constant_filtration(spec, whole_subset(spec))
-        # only points whose closure misses the constant value survive at all k
-        members = [
-            q
-            for q in _candidate_points(filtration)
-            if specialization_closure([q], spec).meet(const).is_empty
-        ]
-        return constant_filtration(spec, _collect_points(filtration, spec, members))
+        return constant_filtration(spec, head)
 
     s, n = filtration.determined_interval()
     lo, hi = codim.min_value(), codim.max_value()
@@ -404,31 +343,10 @@ def dual_filtration(filtration: SpFiltration, codim: CodimFn) -> SpFiltration:
                 return False
         return True
 
-    head_members = [
-        q
-        for q in _candidate_points(filtration)
-        if specialization_closure([q], spec).meet(filtration.value(s)).is_empty
-    ]
-    head = _collect_points(filtration, spec, head_members)
-    levels = []
-    for k in range(kmin, kmax + 1):
-        members = [q for q in _candidate_points(filtration) if passes(q, k)]
-        levels.append(_collect_points(filtration, spec, members))
-    return SpFiltration(spec, whole_subset(spec), kmin, tuple(levels), head)
-
-
-def _collect_points(filtration: SpFiltration, spec, members) -> object:
-    """Rebuild a canonical subset from the finite membership sample."""
-    if not spec.is_specz:
-        return PosetSubset(spec, frozenset(members))
-    pts = [zpoint(m) for m in members]
-    if any(p.is_generic for p in pts):
-        return ZSubset.whole()
-    named = filtration.mentioned_primes()
-    primes = {p.p for p in pts}
-    if fresh_prime(named) in primes:
-        return ZSubset.cofinite(named - primes)
-    return ZSubset.finite(primes)
+    levels = tuple(
+        spec.subset((q for q in pts if passes(q, k)), named) for k in range(kmin, kmax + 1)
+    )
+    return SpFiltration(spec, spec.whole(), kmin, levels, head)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +451,7 @@ def stalk_in_aisle(filtration: SpFiltration, point, i: int) -> bool:
 def read_back(filtration: SpFiltration) -> bool:
     """Classification round trip: recovering each level from aisle
     membership of stalk generators returns the filtration unchanged."""
-    pts = list(_candidate_points(filtration))
+    pts = filtration.spectrum.sample(filtration.mentioned_primes())
     for j in filtration.check_range():
         lvl = filtration.value(j)
         for p in pts:
@@ -544,19 +462,6 @@ def read_back(filtration: SpFiltration) -> bool:
 
 # ---------------------------------------------------------------------------
 # census enumeration
-
-
-def _level_universe(spectrum, universe, cap):
-    if spectrum.is_specz:
-        if universe is None:
-            raise ValueError("a prime universe is required over Spec(Z)")
-        primes = sorted(set(int(p) for p in universe))
-        values = [ZSubset.whole()]
-        for r in range(len(primes) + 1):
-            for comb in itertools.combinations(primes, r):
-                values.append(ZSubset.finite(comb))
-        return values
-    return all_up_sets(spectrum, cap=cap)
 
 
 def _pair_ok(pairs, prev, lvl) -> bool:
@@ -573,12 +478,12 @@ def _walk_census(spectrum, window, universe, cap, step_ok) -> list[SpFiltration]
     a, b = window
     if b < a:
         raise ValueError("empty census window")
-    values = _level_universe(spectrum, universe, cap)
+    values = spectrum.census_levels(universe, cap)
     if len(values) ** (b - a + 1) > cap:
         raise ValueError(
             f"census of size {len(values)}^{b - a + 1} exceeds cap {cap}"
         )
-    empty = empty_subset(spectrum)
+    empty = spectrum.empty()
     out: dict = {}
 
     def add(f: SpFiltration):
@@ -632,7 +537,7 @@ def enumerate_weak_cousin(
     >>> len(enumerate_weak_cousin(P, (0, 1)))
     5
     """
-    pairs = _cover_pairs(spectrum, {int(p) for p in universe or ()})
+    pairs = spectrum.cover_pairs({int(p) for p in universe or ()})
     census = _walk_census(
         spectrum, window, universe, cap, lambda prev, lvl: _pair_ok(pairs, prev, lvl)
     )

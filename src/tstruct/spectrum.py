@@ -13,10 +13,18 @@ Subsets stable under specialization ("sp-subsets") are the basic
 currency of the whole package: over a finite poset they are up-sets,
 over Spec(Z) they are the whole space or a finite/cofinite set of
 maximal ideals.
+
+Each model offers a finite sample of its points (``sample``), the order
+``lt``, the covering pairs among sampled points (``cover_pairs``), the
+subset with given sampled members (``subset``), ``whole``/``empty``,
+``check_point``, ``subset_from_json`` and the level values of a census
+(``census_levels``).  Every order-theoretic helper below is written once
+over these.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -245,6 +253,7 @@ class FinPoset:
                 raise ValueError("covers contain a cycle")
             cov.add((p, q))
         self.covers: frozenset[tuple[str, str]] = frozenset(cov)
+        self._cover_pairs = tuple(sorted(cov))
         self._below = self._transitive_closure()
         for p, q in self.covers:
             between = self._below[q] & {r for r in pts if p in self._below[r]}
@@ -297,10 +306,25 @@ class FinPoset:
     def strictly_below(self, q: str) -> frozenset[str]:
         return self._below[self.check_point(q)]
 
-    def up_set(self, p: str) -> frozenset[str]:
-        """All specializations of p (p itself included)."""
-        self.check_point(p)
-        return frozenset(q for q in self.points if self.leq(p, q))
+    # -- the finite sample (every point; ``named`` is ignored) ----------------
+
+    def sample(self, named=()) -> tuple[str, ...]:
+        return self.points
+
+    def cover_pairs(self, named=()) -> tuple[tuple[str, str], ...]:
+        return self._cover_pairs
+
+    def subset(self, members, named=()) -> "PosetSubset":
+        return PosetSubset(self, frozenset(members))
+
+    def whole(self) -> "PosetSubset":
+        return PosetSubset(self, frozenset(self.points))
+
+    def empty(self) -> "PosetSubset":
+        return PosetSubset(self, frozenset())
+
+    def census_levels(self, universe, cap) -> list["PosetSubset"]:
+        return all_up_sets(self, cap=cap)
 
     def __eq__(self, other):
         return (
@@ -314,10 +338,6 @@ class FinPoset:
 
     def __repr__(self):
         return f"FinPoset({list(self.points)!r}, {sorted(self.covers)!r})"
-
-    @property
-    def is_specz(self) -> bool:
-        return False
 
     # -- JSON ---------------------------------------------------------------
 
@@ -339,20 +359,87 @@ class FinPoset:
                 raise TypeError(f"a cover must be a list of two point ids, got {c!r}")
         return cls(points, [tuple(c) for c in covers])
 
+    def subset_from_json(self, obj: dict) -> "PosetSubset":
+        kind = obj["kind"]
+        if kind == "points":
+            return PosetSubset(self, frozenset(obj["points"]))
+        if kind == "whole":
+            return self.whole()
+        raise ValueError(f"a finite poset has no subset of kind {kind!r}")
+
 
 class SpecZ:
     """The spectrum of the integers.
 
-    A singleton stand-in: the point set is infinite, so the class only
-    offers the order calculus (generic point below every maximal ideal).
+    A singleton stand-in: the point set is infinite, so the order-theoretic
+    helpers see it through a finite sample: the generic point, the primes
+    named by their inputs and one fresh prime, which stands for every
+    unnamed maximal ideal (see ``sample_points``).
+
+    >>> SPEC_Z.cover_pairs({3})
+    [(SpecZPoint(p=0), SpecZPoint(p=3)), (SpecZPoint(p=0), SpecZPoint(p=2))]
+    >>> SPEC_Z.subset([SpecZPoint(3), SpecZPoint(2)], {3})
+    ZSubset.cofinite([])
     """
 
     def check_point(self, p) -> SpecZPoint:
+        """The point named by p; a string may be a printed form, 0 or (p)."""
+        if isinstance(p, str):
+            try:
+                p = int(p.strip("()"))
+            except ValueError:
+                raise ValueError(f"not a point of Spec(Z): {p!r}") from None
         return zpoint(p)
 
-    @property
-    def is_specz(self) -> bool:
-        return True
+    def lt(self, p, q) -> bool:
+        return zpoint(p).is_generic and not zpoint(q).is_generic
+
+    def sample(self, named=()) -> tuple[SpecZPoint, ...]:
+        """``sample_points`` of the whole spectrum; ``named`` holds primes
+        or points."""
+        return sample_points(ZSubset.whole(), _named_primes(named))
+
+    def cover_pairs(self, named=()) -> list[tuple[SpecZPoint, SpecZPoint]]:
+        generic, *maximals = self.sample(named)
+        return [(generic, q) for q in maximals]
+
+    def subset(self, members, named=()) -> "ZSubset":
+        """The subset whose points in ``sample(named)`` are ``members``."""
+        pts = [zpoint(m) for m in members]
+        if any(pt.is_generic for pt in pts):
+            return ZSubset.whole()
+        named = _named_primes(named)
+        primes = {pt.p for pt in pts}
+        if fresh_prime(named) in primes:
+            return ZSubset.cofinite(named - primes)
+        return ZSubset.finite(primes)
+
+    def whole(self) -> "ZSubset":
+        return ZSubset.whole()
+
+    def empty(self) -> "ZSubset":
+        return ZSubset.empty()
+
+    def census_levels(self, universe, cap) -> list["ZSubset"]:
+        """The whole spectrum and every finite set of primes of ``universe``."""
+        if universe is None:
+            raise ValueError("a prime universe is required over Spec(Z)")
+        primes = sorted(set(int(p) for p in universe))
+        return [ZSubset.whole()] + [
+            ZSubset.finite(comb)
+            for r in range(len(primes) + 1)
+            for comb in itertools.combinations(primes, r)
+        ]
+
+    def subset_from_json(self, obj: dict) -> "ZSubset":
+        kind = obj["kind"]
+        if kind == "whole":
+            return ZSubset.whole()
+        if kind == "finite":
+            return ZSubset.finite(_primes_from_json(obj))
+        if kind == "cofinite":
+            return ZSubset.cofinite(_primes_from_json(obj))
+        raise ValueError(f"Spec(Z) has no subset of kind {kind!r}")
 
     def __eq__(self, other):
         return isinstance(other, SpecZ)
@@ -386,6 +473,10 @@ class PosetSubset:
 
     spectrum: FinPoset
     points: frozenset[str]
+
+    # the sample of a finite poset is every point, so a poset subset names
+    # no prime number (``ZSubset.primes`` on the Spec(Z) side)
+    primes = frozenset()
 
     def __post_init__(self):
         for p in self.points:
@@ -441,6 +532,8 @@ class ZSubset:
 
     kind: str  # "whole" | "finite" | "cofinite"
     primes: frozenset[int]
+
+    spectrum = SPEC_Z  # as PosetSubset.spectrum
 
     def __post_init__(self):
         if self.kind not in ("whole", "finite", "cofinite"):
@@ -570,18 +663,7 @@ class ZSubset:
 
 
 def subset_from_json(obj: dict, spectrum):
-    kind = obj["kind"]
-    if kind == "points":
-        return PosetSubset(spectrum, frozenset(obj["points"]))
-    if kind == "whole":
-        if spectrum.is_specz:
-            return ZSubset.whole()
-        return PosetSubset(spectrum, frozenset(spectrum.points))
-    if kind == "finite":
-        return ZSubset.finite(_primes_from_json(obj))
-    if kind == "cofinite":
-        return ZSubset.cofinite(_primes_from_json(obj))
-    raise ValueError(f"bad subset kind {kind!r}")
+    return spectrum.subset_from_json(obj)
 
 
 def _primes_from_json(obj: dict) -> list:
@@ -595,18 +677,6 @@ def _primes_from_json(obj: dict) -> list:
     if 0 in primes:
         raise ValueError("a subset prime must be a prime number, got 0")
     return primes
-
-
-def whole_subset(spectrum):
-    if spectrum.is_specz:
-        return ZSubset.whole()
-    return PosetSubset(spectrum, frozenset(spectrum.points))
-
-
-def empty_subset(spectrum):
-    if spectrum.is_specz:
-        return ZSubset.empty()
-    return PosetSubset(spectrum, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +718,13 @@ def sample_points(Z: ZSubset, named=frozenset()) -> tuple[SpecZPoint, ...]:
     return tuple(pts)
 
 
+def _named_primes(named) -> frozenset[int]:
+    # the primes among named primes or points (the generic point names none)
+    return frozenset(zpoint(n).p for n in named) - {GENERIC}
+
+
 # ---------------------------------------------------------------------------
-# operations
+# operations, over a model's finite sample
 
 
 def specialization_closure(points, spectrum):
@@ -661,15 +736,11 @@ def specialization_closure(points, spectrum):
     >>> specialization_closure({SpecZPoint(0)}, SPEC_Z)
     ZSubset.whole()
     """
-    if spectrum.is_specz:
-        pts = [zpoint(p) for p in points]
-        if any(p.is_generic for p in pts):
-            return ZSubset.whole()
-        return ZSubset.finite(p.p for p in pts)
-    closure: set[str] = set()
-    for p in points:
-        closure |= spectrum.up_set(p)
-    return PosetSubset(spectrum, frozenset(closure))
+    pts = [spectrum.check_point(p) for p in points]
+    closure = [
+        q for q in spectrum.sample(pts) if any(p == q or spectrum.lt(p, q) for p in pts)
+    ]
+    return spectrum.subset(closure, pts)
 
 
 def immediate_generalizations(q, spectrum) -> frozenset:
@@ -678,13 +749,8 @@ def immediate_generalizations(q, spectrum) -> frozenset:
     >>> immediate_generalizations(SpecZPoint(2), SPEC_Z)
     frozenset({SpecZPoint(p=0)})
     """
-    if spectrum.is_specz:
-        pt = zpoint(q)
-        if pt.is_generic:
-            return frozenset()
-        return frozenset({SpecZPoint(GENERIC)})
-    spectrum.check_point(q)
-    return frozenset(p for (p, qq) in spectrum.covers if qq == q)
+    q = spectrum.check_point(q)
+    return frozenset(p for p, qq in spectrum.cover_pairs([q]) if qq == q)
 
 
 def is_open_closed(Z):
@@ -697,28 +763,23 @@ def is_open_closed(Z):
     >>> is_open_closed(ZSubset.finite([2]))
     (False, (SpecZPoint(p=2), SpecZPoint(p=0)))
     """
-    if isinstance(Z, ZSubset):
-        if Z.is_whole or Z.is_empty:
-            return True, None
-        p = min(Z.primes) if Z.kind == "finite" else fresh_prime(Z.primes)
-        return False, (zpoint(p), zpoint(GENERIC))
-    poset = Z.spectrum
-    for (p, q) in sorted(poset.covers):
-        if q in Z.points and p not in Z.points:
+    for p, q in Z.spectrum.cover_pairs(Z.primes):
+        if Z.contains(q) and not Z.contains(p):
             return False, (q, p)
     return True, None
 
 
 def connected_components(spectrum) -> list[frozenset]:
-    """Components of the comparability graph.
+    """Components of the comparability graph of the finite sample.
 
     >>> P = FinPoset("abc", [("a", "b")])
     >>> sorted(sorted(c) for c in connected_components(P))
     [['a', 'b'], ['c']]
+    >>> connected_components(SPEC_Z)
+    [frozenset({SpecZPoint(p=0), SpecZPoint(p=2)})]
     """
-    if spectrum.is_specz:
-        return [frozenset({"Spec(Z)"})]  # a single component (never enumerated)
-    parent = {p: p for p in spectrum.points}
+    pts = spectrum.sample()
+    parent = {p: p for p in pts}
 
     def find(x):
         while parent[x] != x:
@@ -726,17 +787,15 @@ def connected_components(spectrum) -> list[frozenset]:
             x = parent[x]
         return x
 
-    for p, q in spectrum.covers:
+    for p, q in spectrum.cover_pairs():
         parent[find(p)] = find(q)
-    comps: dict[str, set[str]] = {}
-    for p in spectrum.points:
+    comps: dict = {}
+    for p in pts:
         comps.setdefault(find(p), set()).add(p)
     return [frozenset(c) for c in comps.values()]
 
 
 def is_connected(spectrum) -> bool:
-    if spectrum.is_specz:
-        return True
     return len(connected_components(spectrum)) <= 1
 
 
@@ -771,20 +830,17 @@ class CodimFn:
         return CodimFn(SPEC_Z, (int(generic_value), int(maximal_value)))
 
     def value(self, point) -> int:
-        if self.spectrum.is_specz:
+        point = self.spectrum.check_point(point)
+        if self.spectrum == SPEC_Z:
             g, m = self.values
-            return g if zpoint(point).is_generic else m
-        return dict(self.values)[self.spectrum.check_point(point)]
+            return g if point.is_generic else m
+        return dict(self.values)[point]
 
     def min_value(self) -> int:
-        if self.spectrum.is_specz:
-            return min(self.values)
-        return min(v for _, v in self.values)
+        return min(self.value(p) for p in self.spectrum.sample())
 
     def max_value(self) -> int:
-        if self.spectrum.is_specz:
-            return max(self.values)
-        return max(v for _, v in self.values)
+        return max(self.value(p) for p in self.spectrum.sample())
 
 
 def validate_codim_fn(d: CodimFn):
@@ -794,13 +850,7 @@ def validate_codim_fn(d: CodimFn):
     >>> validate_codim_fn(CodimFn.for_poset(P, {"a": 0, "b": 2}))
     (False, ('a', 'b'))
     """
-    spec = d.spectrum
-    if spec.is_specz:
-        g, m = d.values
-        if m != g + 1:
-            return False, (SpecZPoint(GENERIC), SpecZPoint(2))
-        return True, None
-    for (p, q) in sorted(spec.covers):
+    for p, q in d.spectrum.cover_pairs():
         if d.value(q) != d.value(p) + 1:
             return False, (p, q)
     return True, None
@@ -812,27 +862,20 @@ def krull_dimension(spectrum) -> int:
     >>> krull_dimension(SPEC_Z)
     1
     """
-    if spectrum.is_specz:
-        return 1
-    if not spectrum.points:
-        return 0
-    depth: dict[str, int] = {}
+    pts = spectrum.sample()
+    depth: dict = {}
 
-    def height(q: str) -> int:
+    def height(q) -> int:
         if q not in depth:
-            below = spectrum.strictly_below(q)
-            depth[q] = 0 if not below else 1 + max(height(p) for p in below)
+            depth[q] = max((1 + height(p) for p in pts if spectrum.lt(p, q)), default=0)
         return depth[q]
 
-    return max(height(q) for q in spectrum.points)
+    return max((height(q) for q in pts), default=0)
 
 
 def minimal_points(spectrum) -> frozenset:
-    if spectrum.is_specz:
-        return frozenset({SpecZPoint(GENERIC)})
-    return frozenset(
-        p for p in spectrum.points if not spectrum.strictly_below(p)
-    )
+    pts = spectrum.sample()
+    return frozenset(p for p in pts if not any(spectrum.lt(q, p) for q in pts))
 
 
 def all_up_sets(spectrum, cap: Optional[int] = None) -> list[PosetSubset]:

@@ -75,28 +75,37 @@ def _complex_pool(seed, count):
     return list(pool)
 
 
-def _timed(criterion):
+def _timed(name):
     """Run a criterion or invariant suite with empty oracle caches and
-    truncation-step memo (so they live for one suite run) and add its
-    wall time to the report as ``seconds``."""
+    truncation-step memo (so they live for one suite run), name its
+    report ``suite`` and add its wall time as ``seconds``.  An engine bug
+    that the engine detects itself (an ``ArithmeticError``) fails the
+    suite with an ``engine-error`` entry instead of ending the run."""
 
-    @wraps(criterion)
-    def run(*args, **kwargs):
-        cech.clear_caches()
-        derived.tau_single.cache_clear()
-        t0 = time.perf_counter()
-        report = criterion(*args, **kwargs)
-        report["seconds"] = round(time.perf_counter() - t0, 3)
-        return report
+    def wrap(criterion):
+        @wraps(criterion)
+        def run(*args, **kwargs):
+            cech.clear_caches()
+            derived.tau_single.cache_clear()
+            t0 = time.perf_counter()
+            try:
+                report = criterion(*args, **kwargs)
+            except ArithmeticError as exc:
+                report = {"ok": False, "failures": [("engine-error", str(exc))]}
+            report["suite"] = name
+            report["seconds"] = round(time.perf_counter() - t0, 3)
+            return report
 
-    return run
+        return run
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
 # acceptance criteria
 
 
-@_timed
+@_timed("classification-round-trip")
 def criterion_classification(seed=DEFAULT_SEED) -> dict:
     """Round trip: reading a filtration back from aisle membership of its
     stalk generators reproduces it exactly, over the two-chain poset and
@@ -117,7 +126,6 @@ def criterion_classification(seed=DEFAULT_SEED) -> dict:
                 if derived.in_aisle(f, stalk) != f.value(j).contains(pt):
                     failures.append((str(f), j, str(pt)))
     return {
-        "suite": "classification-round-trip",
         "ok": not failures,
         "poset_census": len(poset_census),
         "z_census": len(z_census),
@@ -125,7 +133,7 @@ def criterion_classification(seed=DEFAULT_SEED) -> dict:
     }
 
 
-@_timed
+@_timed("weak-cousin-necessity")
 def criterion_cousin_necessity(seed=DEFAULT_SEED) -> dict:
     """Every census filtration violating the weak Cousin condition yields
     a truncation with non-finitely-generated vertices.  This is the
@@ -139,14 +147,13 @@ def criterion_cousin_necessity(seed=DEFAULT_SEED) -> dict:
         if not derived.cousin_failure_witness(p, q, j, f).holds
     ]
     return {
-        "suite": "weak-cousin-necessity",
         "ok": not failures,
         "violating": len(violating),
         "failures": failures[:5],
     }
 
 
-@_timed
+@_timed("weak-cousin-sufficiency")
 def criterion_cousin_sufficiency(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLEXES) -> dict:
     """Weak-Cousin filtrations preserve finite generation: finitely
     generated vertices and the full truncation contract on a seeded pool
@@ -173,7 +180,6 @@ def criterion_cousin_sufficiency(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMP
         if failures and len(failures) > 10:
             break
     return {
-        "suite": "weak-cousin-sufficiency",
         "ok": not failures,
         "census": len(census),
         "complexes": len(pool),
@@ -183,7 +189,7 @@ def criterion_cousin_sufficiency(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMP
     }
 
 
-@_timed
+@_timed("engine-oracle-agreement")
 def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLEXES) -> dict:
     """Engine versus stable-Koszul oracle on every finite-level case of
     the necessity and sufficiency corpora: local cohomology,
@@ -220,7 +226,6 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
         if not cech.validate_tau_filtration(f, F).ok:
             failures.append((str(f), "tau-witness"))
     return {
-        "suite": "engine-oracle-agreement",
         "ok": not failures,
         "levels": len(levels),
         "complexes": len(pool),
@@ -230,7 +235,7 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
     }
 
 
-@_timed
+@_timed("generator-reduction")
 def criterion_generator_reduction(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
     """Hom-vanishing computed through the hereditary splitting agrees with
     the stalk-generator criterion and with the chain complex Hom(X, Y) of
@@ -245,14 +250,13 @@ def criterion_generator_reduction(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
         if not rep.agree or via_chains != rep.via_hom_complex:
             failures.append((k, rep.via_hom_complex, rep.via_stalk_generators, via_chains))
     return {
-        "suite": "generator-reduction",
         "ok": not failures,
         "pairs": pairs,
         "failures": failures[:5],
     }
 
 
-@_timed
+@_timed("top-index")
 def criterion_top_index(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
     """The two top-degree computations agree at the generic point and at
     (2), (3), (5) for the same seeded complex corpus."""
@@ -270,14 +274,13 @@ def criterion_top_index(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
             if m != h:
                 failures.append((k, p, m, h))
     return {
-        "suite": "top-index",
         "ok": not failures,
         "pairs": pairs,
         "failures": failures[:5],
     }
 
 
-@_timed
+@_timed("duality")
 def criterion_duality(seed=DEFAULT_SEED, samples=PAIR_CORPUS) -> dict:
     """Duality toolbox: involution, recomputed codimension, two-way
     membership agreement, and internally equivalent finiteness
@@ -304,14 +307,13 @@ def criterion_duality(seed=DEFAULT_SEED, samples=PAIR_CORPUS) -> dict:
         except ArithmeticError as exc:
             failures.append(("predicate", k, str(exc)))
     return {
-        "suite": "duality",
         "ok": not failures,
         "samples": samples,
         "failures": failures[:5],
     }
 
 
-@_timed
+@_timed("dual-filtration")
 def criterion_dual_filtration(seed=DEFAULT_SEED) -> dict:
     """The dual of the canonical filtration is the codimension filtration,
     and orthogonality transport validates the dual formula on every
@@ -329,14 +331,13 @@ def criterion_dual_filtration(seed=DEFAULT_SEED) -> dict:
         if filt.dual_filtration(dual, codim) != f:
             failures.append((str(f), "not-involutive"))
     return {
-        "suite": "dual-filtration",
         "ok": not failures,
         "census": len(_census_z()),
         "failures": failures[:5],
     }
 
 
-@_timed
+@_timed("discreteness")
 def criterion_discreteness(seed=DEFAULT_SEED) -> dict:
     """Weak-Cousin filtrations stabilize to open-closed values; on a
     connected spectrum the nonconstant ones run from everything to
@@ -377,7 +378,6 @@ def criterion_discreteness(seed=DEFAULT_SEED) -> dict:
         if filt.weak_cousin(f).holds != spec.is_open_closed(Z)[0]:
             failures.append((str(Z), "constant-mismatch"))
     return {
-        "suite": "discreteness",
         "ok": not failures,
         "failures": failures[:5],
     }
@@ -400,7 +400,7 @@ ACCEPTANCE = {
 # module-invariant suites (the remaining library properties)
 
 
-@_timed
+@_timed("spectrum")
 def suite_spectrum(seed=DEFAULT_SEED) -> dict:
     rng = rng_from_seed(seed + 21)
     failures = []
@@ -424,7 +424,7 @@ def suite_spectrum(seed=DEFAULT_SEED) -> dict:
             ok, _ = spec.validate_codim_fn(d)
             if ok and not _catenary_consistent(P, d):
                 failures.append((k, "catenary"))
-    return {"suite": "spectrum", "ok": not failures, "failures": failures[:5]}
+    return {"ok": not failures, "failures": failures[:5]}
 
 
 def _is_union_of(points, comps) -> bool:
@@ -505,7 +505,7 @@ def _catenary_consistent(P: FinPoset, d) -> bool:
     return True
 
 
-@_timed
+@_timed("zmodules")
 def suite_zmodules(seed=DEFAULT_SEED) -> dict:
     from .zmodules import matmul, smith_normal_form, support
 
@@ -555,10 +555,10 @@ def suite_zmodules(seed=DEFAULT_SEED) -> dict:
         _, ext = hom_ext_tables(ElementaryModule.cyclic(a), ElementaryModule.free(1))
         if ext != ElementaryModule.cyclic(a):
             failures.append((a, "ext-into-Z"))
-    return {"suite": "zmodules", "ok": not failures, "failures": failures[:5]}
+    return {"ok": not failures, "failures": failures[:5]}
 
 
-@_timed
+@_timed("filtration")
 def suite_filtration(seed=DEFAULT_SEED) -> dict:
     rng = rng_from_seed(seed + 47)
     failures = []
@@ -604,7 +604,7 @@ def suite_filtration(seed=DEFAULT_SEED) -> dict:
             brute = _brute_force_census(P, window)
             if {str(f.to_json()) for f in fast} != {str(f.to_json()) for f in brute}:
                 failures.append((repr(P), window, "census-mismatch"))
-    return {"suite": "filtration", "ok": not failures, "failures": failures[:5]}
+    return {"ok": not failures, "failures": failures[:5]}
 
 
 def _brute_force_census(P: FinPoset, window):
@@ -615,7 +615,7 @@ def _brute_force_census(P: FinPoset, window):
     a, b = window
     ups = spec.all_up_sets(P)
     out = {}
-    empty = spec.empty_subset(P)
+    empty = P.empty()
 
     def cousin_ok(f):
         for j in range(a - 2, b + 3):
@@ -638,7 +638,7 @@ def _brute_force_census(P: FinPoset, window):
     return list(out.values())
 
 
-@_timed
+@_timed("truncation")
 def suite_truncation(seed=DEFAULT_SEED) -> dict:
     rng = rng_from_seed(seed + 61)
     census = _census_z()
@@ -693,7 +693,7 @@ def suite_truncation(seed=DEFAULT_SEED) -> dict:
             failures.append((k, m, "radical"))
         if any(rule != chains for pattern in patterns for rule, chains in pattern):
             failures.append((k, m, "chain-route"))
-    return {"suite": "truncation", "ok": not failures, "failures": failures[:5]}
+    return {"ok": not failures, "failures": failures[:5]}
 
 
 def _radical(m: int) -> int:
@@ -733,7 +733,7 @@ def _localized_in_aisle(f, X: FormalObject, q) -> bool:
     return True
 
 
-@_timed
+@_timed("orthogonality")
 def suite_orthogonality(seed=DEFAULT_SEED) -> dict:
     """Generator orthogonality agrees with the torsion-vanishing
     description of the co-aisle (the two faces of the classification)."""
@@ -767,7 +767,7 @@ def suite_orthogonality(seed=DEFAULT_SEED) -> dict:
             via_torsion = derived.in_coaisle(f, X)
             if via_tables != via_torsion:
                 failures.append((str(f), b, via_tables, via_torsion))
-    return {"suite": "orthogonality", "ok": not failures, "failures": failures[:5]}
+    return {"ok": not failures, "failures": failures[:5]}
 
 
 SUITES = {

@@ -5,10 +5,14 @@ prints a single pass/fail line, and enforces the stated wall-clock
 budget where one applies.  The same suites back ``tstruct verify``.
 """
 
+import json
+
 import pytest
 
 from conftest import record
-from tstruct import cech, derived, suites
+from tstruct import cech, cli, derived, suites
+from tstruct.elementary import ElementaryModule
+from tstruct.spectrum import ZSubset
 from tstruct.zmodules import hom_ext_vanish
 
 BUDGETS = {
@@ -48,13 +52,39 @@ def test_truncation_memo_lives_for_one_criterion():
     assert derived.tau_single.cache_info().currsize > 0
     seen = []
 
-    @suites._timed
+    @suites._timed("next-criterion")
     def next_criterion():
         seen.append(derived.tau_single.cache_info().currsize)
         return {}
 
     next_criterion()
     assert seen == [0]
+
+
+def test_an_engine_error_fails_its_suite_with_a_report(monkeypatch, capsys):
+    # a Z(7^oo) too many in the first local cohomology: tau_filtration
+    # sees an intermediate lower vertex leave its degree and raises
+    honest = derived.gamma_and_r1
+
+    def extra_pruefer(Z, E):
+        g, r1 = honest(Z, E)
+        return g, r1 + ElementaryModule.prufer_sum(ZSubset.finite([7]), 1)
+
+    monkeypatch.setattr(derived, "gamma_and_r1", extra_pruefer)
+    try:
+        report = suites.run_suite("weak-cousin-necessity")
+        assert report["suite"] == "weak-cousin-necessity" and not report["ok"]
+        assert [f[0] for f in report["failures"]] == ["engine-error"]
+        assert "engine bug" in report["failures"][0][1]
+        code = cli.main(["verify", "--suite", "weak-cousin-necessity", "--quiet"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["suite"] == "weak-cousin-necessity" and out["ok"] is False
+        assert out["failures"][0][0] == "engine-error"
+    finally:
+        # the mutant's memoized steps and models must not reach later tests
+        derived.tau_single.cache_clear()
+        cech.clear_caches()
 
 
 def test_criterion_3_weak_cousin_sufficiency():

@@ -218,6 +218,9 @@ def _module(atoms):
          ("truncate", "-f", "F", "-x", "{}")),
         (_module({"localized": [{"inverted": {"kind": "cofinite", "primes": "23"}, "rank": 1}]}),
          ("truncate", "-f", "F", "-x", "{}")),
+        ({**REPEATED_LEVEL, "levels": [{"kind": "points", "points": ["(2)"]}]},
+         ("check-cousin", "-f", "{}")),
+        (REPEATED_LEVEL, ("localize", "-f", "{}", "--point", "abc")),
     ],
     ids=["census-spectrum-empty", "census-spectrum-int", "census-spectrum-null-id",
          "kashiwara-subset-int", "cm-codim-int", "cm-codim-float", "cm-codim-bool",
@@ -232,7 +235,8 @@ def _module(atoms):
          "complex-entry-str", "complex-row-short", "complex-row-long",
          "subset-prime-float", "subset-cofinite-prime-float",
          "subset-primes-str", "subset-prime-0", "filtration-level-prime-float",
-         "localized-inverted-prime-str", "localized-inverted-primes-str"],
+         "localized-inverted-prime-str", "localized-inverted-primes-str",
+         "filtration-level-points-over-specz", "localize-point-abc"],
 )
 def test_malformed_payload_is_usage_error(files, payload, argv):
     bad = files("bad.json", payload)

@@ -31,9 +31,7 @@ from tstruct.spectrum import (
     SpecZPoint,
     ZSubset,
     all_up_sets,
-    empty_subset,
     specialization_closure,
-    whole_subset,
 )
 
 TWO_CHAIN = FinPoset(["p", "m"], [("p", "m")])
@@ -75,6 +73,40 @@ def test_cousin_fixtures():
     # weak holds but strong fails when a whole level repeats above a gap
     h = from_values(SPEC_Z, {0: W, 1: zf(2)}, W, E)
     assert weak_cousin(h).holds and not strong_cousin(h).holds
+
+
+def test_spec_z_cousin_witnesses_keep_sample_order():
+    # the named primes in order, then the fresh prime, not sorted in
+    f = from_values(SPEC_Z, {0: zf(3, 5)}, ZSubset.cofinite([]), E)
+    assert weak_cousin(f).witnesses[:3] == (
+        (-1, SpecZPoint(3), SpecZPoint(0)),
+        (-1, SpecZPoint(5), SpecZPoint(0)),
+        (-1, SpecZPoint(2), SpecZPoint(0)),
+    )
+
+
+def test_localize_spec_z_exactly():
+    f = from_values(SPEC_Z, {0: ZSubset.cofinite([3]), 1: zf(2)}, W, E)
+
+    def pts(*names):
+        return {"kind": "points", "points": sorted(names)}
+
+    for generic in (0, "0", "(0)", SpecZPoint(0)):
+        assert localize(f, generic).to_json() == {
+            "spectrum": {"points": [{"id": "0"}], "covers": []},
+            "tail": pts("0"),
+            "window": {"start": 0, "end": -1},
+            "levels": [],
+            "head": pts(),
+        }
+    for two in (2, "(2)", SpecZPoint(2)):
+        assert localize(f, two).to_json() == {
+            "spectrum": {"points": [{"id": "0"}, {"id": "(2)"}], "covers": [["0", "(2)"]]},
+            "tail": pts("0", "(2)"),
+            "window": {"start": 0, "end": 1},
+            "levels": [pts("(2)"), pts("(2)")],
+            "head": pts(),
+        }
 
 
 def test_localize_fixtures():
@@ -217,7 +249,7 @@ def brute_census(P: FinPoset, window):
         if any(not chain[i + 1].issubset(chain[i]) for i in range(len(chain) - 1)):
             continue
         f = from_values(
-            P, {a + i: chain[i] for i in range(len(chain))}, chain[0], empty_subset(P)
+            P, {a + i: chain[i] for i in range(len(chain))}, chain[0], P.empty()
         )
         if cousin_ok(f):
             found[str(f.to_json())] = f

@@ -12,6 +12,7 @@ from tstruct.spectrum import (
     connected_components,
     fresh_prime,
     immediate_generalizations,
+    is_connected,
     is_open_closed,
     is_prime,
     krull_dimension,
@@ -123,8 +124,11 @@ def test_is_open_closed():
     assert is_open_closed(ZSubset.whole()) == (True, None)
     ok, witness = is_open_closed(ZSubset.finite([2]))
     assert not ok and witness == (SpecZPoint(2), SpecZPoint(0))
-    ok, witness = is_open_closed(ZSubset.cofinite([3]))
-    assert not ok and witness[1].is_generic
+    assert is_open_closed(ZSubset.empty()) == (True, None)
+    # the least named prime of a finite set, the fresh prime of a cofinite one
+    assert is_open_closed(ZSubset.finite([5, 3])) == (False, (SpecZPoint(3), SpecZPoint(0)))
+    assert is_open_closed(ZSubset.cofinite([3])) == (False, (SpecZPoint(2), SpecZPoint(0)))
+    assert is_open_closed(ZSubset.cofinite([2, 3])) == (False, (SpecZPoint(5), SpecZPoint(0)))
     # a whole chain inside a disjoint union of two chains is open-closed
     two_chains = FinPoset("abcd", [("a", "b"), ("c", "d")])
     assert is_open_closed(PosetSubset(two_chains, frozenset("ab")))[0]
@@ -140,6 +144,20 @@ def test_connected_components():
     parts = connected_components(FinPoset("abc", [("a", "b")]))
     assert sorted(sorted(c) for c in parts) == [["a", "b"], ["c"]]
     assert connected_components(FinPoset([], [])) == []
+    # Spec(Z) through its sample: the generic point and one fresh prime
+    assert connected_components(SPEC_Z) == [frozenset({SpecZPoint(0), SpecZPoint(2)})]
+    assert is_connected(SPEC_Z) and not is_connected(FinPoset("ab", []))
+
+
+def test_spec_z_points_read_from_printed_forms():
+    for form in (0, "0", "(0)", SpecZPoint(0)):
+        assert SPEC_Z.check_point(form) == SpecZPoint(0)
+    for form in (7, "7", "(7)", SpecZPoint(7)):
+        assert SPEC_Z.check_point(form) == SpecZPoint(7)
+    with pytest.raises(ValueError, match="not a point of Spec"):
+        SPEC_Z.check_point("abc")
+    with pytest.raises(ValueError, match="not a prime"):
+        SPEC_Z.check_point("(4)")
 
 
 def test_codim_validation():
@@ -217,6 +235,12 @@ def test_json_round_trips():
         assert subset_from_json(s.to_json(), SPEC_Z) == s
     U = PosetSubset(CHAIN3, frozenset("bc"))
     assert subset_from_json(U.to_json(), CHAIN3) == U
+    assert subset_from_json({"kind": "whole"}, CHAIN3) == PosetSubset(CHAIN3, frozenset("abc"))
+    # each model reads only its own subset kinds, and says which it is
+    with pytest.raises(ValueError, match="Spec\\(Z\\) has no subset of kind 'points'"):
+        subset_from_json(U.to_json(), SPEC_Z)
+    with pytest.raises(ValueError, match="finite poset has no subset of kind 'finite'"):
+        subset_from_json(ZSubset.finite([2]).to_json(), CHAIN3)
 
 
 def test_up_set_invariant_rejected():

@@ -459,18 +459,17 @@ def validate_rgamma(Z: ZSubset, X: FreeComplex) -> ValidationReport:
     >>> validate_rgamma(ZSubset.finite([2]), FreeComplex.stalk_free(1, 0)).ok
     True
     """
-    return _validate_functor("rgamma", Z, from_free_complex(X), X)
+    return _validate_functor("rgamma", Z, X)
 
 
 def validate_rq(Z: ZSubset, X: FreeComplex) -> ValidationReport:
     """Engine rq versus the cone of the stable-Koszul augmentation."""
-    return _validate_functor("rq", Z, from_free_complex(X), X)
+    return _validate_functor("rq", Z, X)
 
 
-def _validate_functor(kind: str, Z: ZSubset, F: FormalObject, X: FreeComplex) -> ValidationReport:
-    """Check the engine's ``kind`` ("rgamma" or "rq") at Z of a complex,
-    given as its engine object F and its chain complex X, so that a
-    caller checking many levels builds both once."""
+def _validate_functor(kind: str, Z: ZSubset, X: FreeComplex) -> ValidationReport:
+    """Check the engine's ``kind`` ("rgamma" or "rq") at Z of a complex."""
+    F = from_free_complex(X)
     if kind == "rgamma":
         claim, C = rgamma(Z, F), cech_model(Z)
     else:

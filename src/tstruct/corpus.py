@@ -2,10 +2,12 @@
 
 Everything is driven by an explicit ``random.Random`` so a fixed seed
 reproduces the same complexes, objects and subsets byte for byte.
-Random free complexes are built as direct sums of stalks and two-term
-resolutions and then disguised by unimodular changes of basis, which
-reaches every isomorphism class of bounded free complexes over a
-principal ideal domain.
+Random free complexes are direct sums of stalks and two-term
+resolutions disguised by unimodular changes of basis, which reaches
+every isomorphism class of bounded free complexes over a principal
+ideal domain.  The summands are drawn as plain triples and the sum is
+assembled block-diagonally in one pass, so a draw builds and validates
+one complex, the one it returns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from .elementary import ElementaryModule
 from .derived import FormalObject
 from .spectrum import ZSubset
-from .zmodules import FreeComplex, direct_sum, identity, matmul
+from .zmodules import FreeComplex, identity, matmul
 
 DEFAULT_SEED = 987654321
 DEFAULT_PRIMES = (2, 3, 5)
@@ -126,38 +128,62 @@ def random_free_complex(
 ) -> FreeComplex:
     """A bounded free complex with small ranks and bounded entries.
 
+    Each attempt draws its summands as ``(degree, rank, entry)`` triples:
+    ``(d, r, 0)`` for a stalk Z^r in degree d, ``(d, 1, p**e)`` for the
+    resolution Z --p**e--> Z ending in degree d.  Ranks and length are
+    checked on the triples; then the block-diagonal differentials, with
+    the summands in drawn order within each degree, are disguised by
+    unimodular changes of basis and validated once, as the returned
+    complex.
+
     >>> X = random_free_complex(rng_from_seed(11))
     >>> all(abs(x) <= 20 for M in X.diffs for row in M for x in row)
     True
     """
+    for name, value, least in (
+        ("max_terms", max_terms, 2),
+        ("max_rank", max_rank, 1),
+        ("max_exp", max_exp, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if not primes:
+        raise ValueError("primes must name at least one prime")
     lo, hi = DEGREE_WINDOW
     while True:
         pieces = []
         for _ in range(rng.randint(1, max_terms // 2)):
             d = rng.randint(lo + 1, hi)
             if rng.random() < 0.4:
-                pieces.append(FreeComplex.stalk_free(rng.randint(1, 2), d))
+                pieces.append((d, rng.randint(1, 2), 0))
             else:
                 p = rng.choice(primes)
-                e = rng.randint(1, max_exp)
-                pieces.append(FreeComplex.cyclic_resolution(p**e, d))
-        X = FreeComplex.zero()
-        for piece in pieces:
-            X = direct_sum(X, piece)
-        ranks = X.ranks
+                pieces.append((d, 1, p ** rng.randint(1, max_exp)))
+        start = min(d - 1 if n else d for d, _, n in pieces)
+        ranks = [0] * (max(d for d, _, _ in pieces) - start + 1)
+        for d, r, n in pieces:
+            ranks[d - start] += r
+            if n:
+                ranks[d - 1 - start] += 1
         if len(ranks) > max_terms or any(r > max_rank for r in ranks):
             continue
+        # the direct sum: the summands' basis vectors in drawn order
+        diffs = [[[0] * ranks[k] for _ in range(ranks[k + 1])] for k in range(len(ranks) - 1)]
+        filled = [0] * len(ranks)
+        for d, r, n in pieces:
+            k = d - start
+            if n:
+                diffs[k - 1][filled[k]][filled[k - 1]] = n
+                filled[k - 1] += 1
+            filled[k] += r
         # disguise the direct sum by unimodular changes of basis
         us = []
         for r in ranks:
             moves = rng.randint(0, 2 * r)
             us.append(_random_unimodular_with_inverse(rng, r, moves))
-        diffs = []
-        for k in range(len(ranks) - 1):
-            M = X.diff_at(X.min_degree + k)
+        for k, M in enumerate(diffs):
             if ranks[k] and ranks[k + 1]:
-                M = matmul(matmul(us[k + 1][0], M), us[k][1])
-            diffs.append(tuple(tuple(row) for row in M))
+                diffs[k] = matmul(matmul(us[k + 1][0], M), us[k][1])
         if any(abs(x) > max_entry for M in diffs for row in M for x in row):
             continue
-        return FreeComplex.free(X.min_degree, ranks, tuple(diffs))
+        return FreeComplex.free(start, ranks, diffs)

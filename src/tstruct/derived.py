@@ -151,8 +151,10 @@ class FormalObject:
         )
 
 
+@lru_cache(maxsize=128)
 def from_free_complex(X: FreeComplex) -> FormalObject:
     """The formal object of a free complex: its homology, degree by degree.
+    Memoized (bounded), since the oracle checks one complex at many levels.
 
     >>> str(from_free_complex(FreeComplex.koszul([2])))
     '{0: Z/2}'

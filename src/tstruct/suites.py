@@ -87,6 +87,7 @@ def _timed(name):
         def run(*args, **kwargs):
             cech.clear_caches()
             derived.tau_single.cache_clear()
+            derived.from_free_complex.cache_clear()
             t0 = time.perf_counter()
             try:
                 report = criterion(*args, **kwargs)
@@ -204,15 +205,14 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
         {lvl for f in census for lvl in f.all_level_values() if not lvl.is_whole},
         key=str,
     ) + [ZSubset.whole()]
-    objects = [from_free_complex(X) for X in pool]
-    for k, (X, F) in enumerate(zip(pool, objects)):
-        # each complex's engine object serves every level
+    for k, X in enumerate(pool):
         for Z in levels:
-            for kind in ("rgamma", "rq"):
-                if not cech._validate_functor(kind, Z, F, X).ok:
+            for kind, validate in (("rgamma", cech.validate_rgamma), ("rq", cech.validate_rq)):
+                if not validate(Z, X).ok:
                     failures.append((k, str(Z), kind))
         if failures:
             break
+    objects = [from_free_complex(X) for X in pool]
     for k, F in enumerate(objects):
         for f in census:
             if not cech.validate_tau_filtration(f, F).ok:

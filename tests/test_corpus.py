@@ -1,0 +1,106 @@
+"""The random free complex generator against its reference construction."""
+
+import pytest
+
+from tstruct.corpus import (
+    DEFAULT_PRIMES,
+    DEFAULT_SEED,
+    DEGREE_WINDOW,
+    _random_unimodular_with_inverse,
+    random_free_complex,
+    rng_from_seed,
+)
+from tstruct.zmodules import FreeComplex, direct_sum, matmul
+
+
+def reference_free_complex(rng, rejections, max_terms=6, max_rank=3, max_entry=20,
+                           primes=DEFAULT_PRIMES, max_exp=3):
+    """The generator built from validated pieces: stalks and two-term
+    resolutions as complexes, left-folded with ``direct_sum``, then
+    disguised by unimodular changes of basis.  ``rejections`` counts
+    the attempts refused for their ranks or length and for their
+    entries."""
+    lo, hi = DEGREE_WINDOW
+    while True:
+        pieces = []
+        for _ in range(rng.randint(1, max_terms // 2)):
+            d = rng.randint(lo + 1, hi)
+            if rng.random() < 0.4:
+                pieces.append(FreeComplex.stalk_free(rng.randint(1, 2), d))
+            else:
+                p = rng.choice(primes)
+                e = rng.randint(1, max_exp)
+                pieces.append(FreeComplex.cyclic_resolution(p**e, d))
+        X = FreeComplex.zero()
+        for piece in pieces:
+            X = direct_sum(X, piece)
+        ranks = X.ranks
+        if len(ranks) > max_terms or any(r > max_rank for r in ranks):
+            rejections["ranks"] += 1
+            continue
+        us = []
+        for r in ranks:
+            moves = rng.randint(0, 2 * r)
+            us.append(_random_unimodular_with_inverse(rng, r, moves))
+        diffs = []
+        for k in range(len(ranks) - 1):
+            M = X.diff_at(X.min_degree + k)
+            if ranks[k] and ranks[k + 1]:
+                M = matmul(matmul(us[k + 1][0], M), us[k][1])
+            diffs.append(tuple(tuple(row) for row in M))
+        if any(abs(x) > max_entry for M in diffs for row in M for x in row):
+            rejections["entries"] += 1
+            continue
+        return FreeComplex.free(X.min_degree, ranks, tuple(diffs))
+
+
+@pytest.mark.parametrize(
+    "seeds, draws, params",
+    [
+        ([DEFAULT_SEED, *range(200)], 50, {}),
+        (range(40), 10, dict(max_terms=4, max_rank=2, max_entry=9, primes=(2, 7), max_exp=2)),
+    ],
+)
+def test_draws_match_the_direct_sum_construction(seeds, draws, params):
+    rejections = {"ranks": 0, "entries": 0}
+    for seed in seeds:
+        rng, ref = rng_from_seed(seed), rng_from_seed(seed)
+        for _ in range(draws):
+            assert random_free_complex(rng, **params) == reference_free_complex(
+                ref, rejections, **params
+            )
+            assert rng.getstate() == ref.getstate()
+    # both refusals happen, so both are compared
+    assert rejections["ranks"] > 0 and rejections["entries"] > 0
+
+
+def test_one_complex_built_per_draw(monkeypatch):
+    built = []
+    post_init = FreeComplex.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FreeComplex, "__post_init__", counting)
+    rng = rng_from_seed(DEFAULT_SEED)
+    draws = [random_free_complex(rng) for _ in range(200)]
+    assert len(built) == len(draws)
+    assert all(a is b for a, b in zip(built, draws))
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"max_rank": 0}, "max_rank"),
+        ({"max_terms": 1}, "max_terms"),
+        ({"max_exp": 0}, "max_exp"),
+        ({"primes": ()}, "primes"),
+    ],
+)
+def test_degenerate_parameters_are_refused_before_any_draw(kwargs, name):
+    rng = rng_from_seed(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=name):
+        random_free_complex(rng, **kwargs)
+    assert rng.getstate() == state

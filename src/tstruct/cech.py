@@ -37,17 +37,22 @@ differentials:
   in the degree of its parity (the Koszul signs read nothing else), by
   the one Koszul product ``zmodules.tensor``; ``tensor`` here only
   distributes it over the blocks of models;
-* a truncation step is checked stalk by stalk: each stalk's lower and
-  upper rows are observed once per stalk module, level, side of the
-  cut, parity of the stalk's degree and set of primes, and added into
-  the step's rows with the stalk's even shift.
+* a truncation step is checked atom by atom: the truncation functors
+  commute with direct sums, so the lower and upper rows of one copy of
+  each atom (free, localized, ``Z/p^e``, Pruefer) are observed once per
+  atom, level, side of the cut, parity of the stalk's degree and set of
+  primes (a pass-through atom above the cut once per atom, side, parity
+  and primes), and added into the step's rows with the stalk's even
+  shift, m times over for m copies;
+* a claim's predicted rows are computed once per stalk module and set
+  of primes and placed at the stalk's degree.
 
 Every distinct block still passes the label-containment and d∘d checks.
 
 Each kind of engine answer has one observation path.  rgamma and rq of
 a free complex X are observed on X tensored with the level's model.  A
 truncation along a filtration is observed step by step, each step
-stalk by stalk, and a constant filtration is one step whose cut lies
+atom by atom, and a constant filtration is one step whose cut lies
 above every degree of the object.
 
 An engine answer (a formal object) is checked by predicting the same
@@ -297,17 +302,6 @@ def _add_row(rows: dict, key: tuple, growth: int, exps: tuple) -> None:
         rows[key] = (growth, exps)
 
 
-def _add_shifted(observed: tuple, ranks: tuple, rows: tuple, shift: int) -> None:
-    """Add rows ``ranks = ((d, rank), ...)`` and ``rows = (((p, d),
-    (growth, exponents)), ...)``, moved up by ``shift`` degrees, into the
-    ``(ranks, rows)`` dicts of ``observed``."""
-    acc_ranks, acc_rows = observed
-    for d, r in ranks:
-        acc_ranks[d + shift] = acc_ranks.get(d + shift, 0) + r
-    for (p, d), (growth, exps) in rows:
-        _add_row(acc_rows, (p, d + shift), growth, exps)
-
-
 def fingerprints(W, primes) -> OracleReport:
     """Observe a model (a tuple of blocks, or one block): rational ranks
     and p-local fingerprints.
@@ -347,29 +341,40 @@ def predicted_fingerprints(F: FormalObject, primes) -> OracleReport:
 
 def _predict(F: FormalObject, primes: tuple) -> tuple:
     """The ``(ranks, rows)`` dicts of ``predicted_fingerprints`` at
-    sorted primes."""
+    sorted primes: each stalk's rows (``_stalk_prediction``) placed at
+    its degree."""
     ranks: dict = {}
     rows: dict = {}
-
-    def add(p: int, d: int, growth: int, exps: tuple):
-        if growth or exps:
-            g, x = rows.get((p, d), _ZERO_ROW)
-            rows[(p, d)] = (g + growth, x + exps)
-
-    # degrees ascend, so a row's torsion (from its own degree) is written
-    # before the Pruefer growth of the degree above is added to it
+    # only a stalk's own degree brings torsion exponents to a row (the
+    # stalk above adds Pruefer growth there), so exponents concatenate
     for d, E in F.graded:
-        if E.rational_rank:
-            ranks[d] = E.rational_rank
-        for p in primes:
-            add(
-                p,
-                d,
-                E.free_rank + sum(r for s, r in E.localized if not s.contains(p)),
-                _p_exponents(E.torsion, p),
-            )
-            add(p, d - 1, sum(m for s, m in E.prufer if s.contains(p)), ())
+        rank, stalk_rows = _stalk_prediction(E, primes)
+        if rank:
+            ranks[d] = rank
+        for p, k, growth, exps in stalk_rows:
+            g, x = rows.get((p, d + k), _ZERO_ROW)
+            rows[(p, d + k)] = (g + growth, x + exps)
     return ranks, rows
+
+
+@lru_cache(maxsize=None)
+def _stalk_prediction(E: ElementaryModule, primes: tuple) -> tuple:
+    """The rational rank of a stalk E and its nonzero predicted rows
+    ``((p, k, growth, exponents), ...)`` at sorted primes, k the offset
+    from the stalk's degree: at p, a free or untouched-localized summand
+    grows in row k = 0, where torsion Z/p^e keeps its exponent, a
+    p-inverted localized summand vanishes, and a Pruefer summand at p
+    grows in row k = -1."""
+    out = []
+    for p in primes:
+        growth = E.free_rank + sum(r for s, r in E.localized if not s.contains(p))
+        exps = _p_exponents(E.torsion, p)
+        if growth or exps:
+            out.append((p, 0, growth, exps))
+        below = sum(m for s, m in E.prufer if s.contains(p))
+        if below:
+            out.append((p, -1, below, ()))
+    return E.rational_rank, tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +517,7 @@ def _tau_stalk_models(E: ElementaryModule, Z: ZSubset, side: int, d: int):
     truncation at Z: a fully absorbed stalk contributes its stable Koszul
     tensor below and its localization cone above, a stalk at the cut
     splits off its module-level torsion, and a higher stalk passes
-    through."""
+    through (Z is not read)."""
     if side == 0:
         return (
             formal_object_model(FormalObject.stalk(_gamma_module(Z, E), d)),
@@ -524,30 +529,62 @@ def _tau_stalk_models(E: ElementaryModule, Z: ZSubset, side: int, d: int):
     return (), piece
 
 
+def _atoms(E: ElementaryModule):
+    """The atoms of E as ``(unit atom, multiplicity)`` pairs, the unit
+    atom one copy of each: free, each localized set, each ``(p, e)`` and
+    each Pruefer set."""
+    if E.free_rank:
+        yield ElementaryModule.free(1), E.free_rank
+    for s, r in E.localized:
+        yield ElementaryModule.localized_free(s, 1), r
+    for p, e, m in E.torsion:
+        yield ElementaryModule.cyclic_torsion(p, e), m
+    for s, m in E.prufer:
+        yield ElementaryModule.prufer_sum(s), m
+
+
 @lru_cache(maxsize=None)
-def _tau_stalk_rows(E: ElementaryModule, Z: ZSubset, side: int, d: int, primes: tuple):
-    """The observed rows of the lower and upper models of one stalk
-    (``_tau_stalk_models``) at sorted primes, as ``(ranks, rows)`` item
-    tuples per vertex."""
+def _tau_atom_rows(atom: ElementaryModule, Z, side: int, parity: int, primes: tuple):
+    """The observed rows of the lower and upper models of one unit atom
+    in degree ``parity`` (``_tau_stalk_models``) at sorted primes, as
+    ``(ranks, rows)`` item tuples per vertex.  A pass-through atom
+    (``side`` 1) is keyed with Z None: its models do not depend on it."""
     return tuple(
         tuple(tuple(table.items()) for table in _observe(W, primes))
-        for W in _tau_stalk_models(E, Z, side, d)
+        for W in _tau_stalk_models(atom, Z, side, parity)
     )
+
+
+def _add_scaled(observed: tuple, ranks: tuple, rows: tuple, shift: int, m: int) -> None:
+    """Add m copies of rows ``ranks = ((d, rank), ...)`` and ``rows =
+    (((p, d), (growth, exponents)), ...)``, moved up by ``shift`` degrees,
+    into the ``(ranks, rows)`` dicts of ``observed``: ranks and growth
+    counts times m, exponent multiplicities times m."""
+    acc_ranks, acc_rows = observed
+    for d, r in ranks:
+        acc_ranks[d + shift] = acc_ranks.get(d + shift, 0) + m * r
+    for (p, d), (growth, exps) in rows:
+        if m != 1:
+            exps = tuple((e, m * k) for e, k in exps)
+        _add_row(acc_rows, (p, d + shift), m * growth, exps)
 
 
 def _tau_step_rows(i: int, Z: ZSubset, F: FormalObject, primes: tuple) -> tuple:
     """The ``(ranks, rows)`` dicts, one pair per vertex, that the chain
     models of the one-level truncation of F at (i, Z) show at sorted
-    primes.  The models are those of a split model of F, stalk by stalk
-    (``_tau_stalk_models``).  Homology is additive, so each stalk's rows
-    are observed once, on blocks built in the degree of its parity, and
-    added with its even shift."""
+    primes.  The models are those of a split model of F, atom by atom
+    (``_tau_stalk_models``).  Homology is additive, so each unit atom's
+    rows are observed once, on blocks built in the degree of its parity,
+    and added m times over with its stalk's even shift."""
     lower, upper = ({}, {}), ({}, {})
     for d, E in F.graded:
         parity = d % 2
-        low, up = _tau_stalk_rows(E, Z, (d > i) - (d < i), parity, primes)
-        _add_shifted(lower, *low, d - parity)
-        _add_shifted(upper, *up, d - parity)
+        side = (d > i) - (d < i)
+        level = None if side == 1 else Z
+        for atom, m in _atoms(E):
+            low, up = _tau_atom_rows(atom, level, side, parity, primes)
+            _add_scaled(lower, *low, d - parity, m)
+            _add_scaled(upper, *up, d - parity, m)
     return lower, upper
 
 
@@ -637,7 +674,8 @@ _CACHES = (
     cech_model,
     rq_model_complex,
     formal_object_model,
-    _tau_stalk_rows,
+    _tau_atom_rows,
+    _stalk_prediction,
     _integral_homology_mod,
     _reduced_homology,
     _rational_ranks,

@@ -42,7 +42,7 @@ from tstruct.filtration import (
     step_filtration,
     weak_cousin,
 )
-from tstruct.spectrum import SPEC_Z, ZSubset
+from tstruct.spectrum import SPEC_Z, ZSubset, fresh_prime
 from tstruct.suites import Z_WINDOW, _census_z
 from tstruct.zmodules import FreeComplex, homology, zeros
 
@@ -209,6 +209,72 @@ def test_constant_filtration_check_rejects_a_wrong_vertex(monkeypatch, functor):
         for F in objects:
             rep = validate_tau_filtration(constant_filtration(SPEC_Z, Z), F)
             assert rep.mismatches == (("fingerprint", 7, 5, (0, ()), (0, ((1, 1),))),)
+
+
+@pytest.mark.parametrize(
+    "F, i, Z, repeated, single, want",
+    [
+        # (Z/4)^2 at the cut: module-level torsion below for Z = {2}, in
+        # the quotient above for Z = {3}; one exponent row either way
+        (
+            FormalObject.stalk(EM.cyclic_torsion(2, 2, 2), 0),
+            0,
+            zf(2),
+            EM.cyclic_torsion(2, 2, 2),
+            EM.cyclic_torsion(2, 2),
+            (("fingerprint", 2, 0, (0, ((2, 2),)), (0, ((2, 1),))),),
+        ),
+        (
+            FormalObject.stalk(EM.cyclic_torsion(2, 2, 2), 0),
+            0,
+            zf(3),
+            EM.cyclic_torsion(2, 2, 2),
+            EM.cyclic_torsion(2, 2),
+            (("fingerprint", 2, 0, (0, ((2, 2),)), (0, ((2, 1),))),),
+        ),
+        # Z^2 in the quotient at the cut: its rational rank, and its growth
+        # at the one observed prime
+        (
+            FormalObject.free_stalk(2, 0),
+            0,
+            zf(3),
+            EM.free(2),
+            EM.free(1),
+            (("rational-rank", 0, 0, 2, 1), ("fingerprint", 3, 0, (2, ()), (1, ()))),
+        ),
+        # Z^2 below the cut: the upper vertex Z[1/2]^2 is 2-divisible, so
+        # only the rational rank tells the copies apart
+        (
+            FormalObject.free_stalk(2, 0),
+            1,
+            zf(2),
+            EM.localized_free(zf(2), 2),
+            EM.localized_free(zf(2), 1),
+            (("rational-rank", 0, 0, 2, 1),),
+        ),
+    ],
+    ids=["torsion-below", "torsion-above", "free-above", "free-below"],
+)
+def test_tau_validation_observes_multiplicity(monkeypatch, F, i, Z, repeated, single, want):
+    # a step that drops one copy of a repeated atom: the oracle observes
+    # every copy of the input, so the lost copy is exactly what it reports
+    honest = derived.tau_single.__wrapped__
+
+    def drop(G):
+        return FormalObject(tuple((d, single if E_ == repeated else E_) for d, E_ in G.graded))
+
+    def drops_a_copy(j, Y, X):
+        step = honest(j, Y, X)
+        return TruncationResult(drop(step.lower), drop(step.upper))
+
+    f = step_filtration(SPEC_Z, i, Z)
+    assert validate_tau_filtration(f, F).ok
+    monkeypatch.setattr(cech, "tau_single", drops_a_copy)
+    try:
+        assert validate_tau_filtration(f, F).mismatches == want
+    finally:
+        derived.tau_single.cache_clear()
+        clear_caches()
 
 
 def test_tau_validation_fixtures():
@@ -486,6 +552,31 @@ def test_clear_caches_empties_the_block_product_cache():
         assert zmodules._tensor_product.cache_info().currsize == 0
 
 
+def test_clear_caches_empties_every_unbounded_cache():
+    # every module-level functools cache without a size bound in the
+    # modules the oracle runs on, found the way the benchmark's tracer
+    # finds caches; one step check fills the atom rows and predictions
+    clear_caches()
+    F = FormalObject.free_stalk(1, 0) + FormalObject.stalk(EM.prufer_sum(zf(3)), 1)
+    assert validate_tau_filtration(step_filtration(SPEC_Z, 1, zf(2)), F).ok
+    unbounded = {
+        f"{module.__name__}.{name}": value
+        for module in (cech, zmodules, derived)
+        for name, value in vars(module).items()
+        if callable(getattr(value, "cache_clear", None))
+        and callable(getattr(value, "cache_info", None))
+        and getattr(value, "__module__", None) == module.__name__
+        and value.cache_info().maxsize is None
+    }
+    for name in ("tstruct.cech._tau_atom_rows", "tstruct.cech._stalk_prediction"):
+        assert unbounded[name].cache_info().currsize > 0
+    assert "tstruct.zmodules._tensor_product" in unbounded
+    clear_caches()
+    assert {name: c.cache_info().currsize for name, c in unbounded.items()} == dict.fromkeys(
+        unbounded, 0
+    )
+
+
 def test_cone_of_augmentation_requires_unit():
     with pytest.raises(ValueError):
         cone_of_augmentation(FreeComplex(0, ((zf(2),),), ()))
@@ -615,12 +706,16 @@ def test_blockwise_observation_matches_dense_assembly(seed, i):
 # -- cached constructions against the uncached ones ---------------------------
 #
 # The references below build every block afresh, at its own degrees:
-# the Koszul product, the stalk-by-stalk truncation models and the
-# homology of each p-reduction.  The oracle builds each distinct shape
-# once and places it by a shift, so the two must agree block for block;
-# the oracle's truncation steps, observed stalk by stalk, must show the
+# the Koszul product, the stalk-by-stalk truncation models, the
+# homology of each p-reduction and a claim's predicted rows.  The oracle
+# builds each distinct shape once and places it by a shift, so the two
+# must agree block for block; the oracle's truncation steps, observed
+# atom by atom and added with each atom's multiplicity, must show the
 # rows of the reference truncation models
-# (``test_stalk_summed_rows_match_observed_step_models``).
+# (``test_stalk_summed_rows_match_observed_step_models``), and its
+# predictions, cached per stalk and placed at the stalk's degree, the
+# rows of the reference prediction
+# (``test_cached_prediction_matches_reference``).
 
 
 def _koszul_reference(A, B):
@@ -694,6 +789,61 @@ def _p_rows_reference(B, p):
         for k, M in homology(K).items()
     )
     return tuple(row for row in rows if row[1] or row[2])
+
+
+def _predict_reference(F, primes):
+    """The predicted ``(ranks, rows)`` of a claim, computed over the whole
+    object degree by degree, with no per-stalk cache."""
+    ranks, rows = {}, {}
+
+    def add(p, d, growth, exps):
+        if growth or exps:
+            g, x = rows.get((p, d), (0, ()))
+            rows[(p, d)] = (g + growth, x + exps)
+
+    for d, E_ in F.graded:
+        if E_.rational_rank:
+            ranks[d] = E_.rational_rank
+        for p in primes:
+            add(
+                p,
+                d,
+                E_.free_rank + sum(r for s, r in E_.localized if not s.contains(p)),
+                tuple((e, m) for q, e, m in E_.torsion if q == p),
+            )
+            add(p, d - 1, sum(m for s, m in E_.prufer if s.contains(p)), ())
+    return ranks, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_cached_prediction_matches_reference(seed, data):
+    # random objects with localized and Pruefer atoms, some on a cofinite
+    # set, their shifts (the same stalks at other degrees, read from the
+    # cache) and prime sets with a fresh prime, in one cache lifetime
+    F = random_formal_object(rng_from_seed(seed))
+    if data.draw(st.booleans()):
+        S = ZSubset.cofinite(data.draw(st.sets(st.sampled_from(DEFAULT_PRIMES))))
+        atom = data.draw(st.sampled_from((EM.prufer_sum(S), EM.localized_free(S, 1))))
+        F = F + FormalObject.stalk(atom, data.draw(st.integers(-3, 3)))
+    named = tuple(sorted(F.mentioned_primes()))
+    with_fresh = tuple(sorted(named + (fresh_prime(named),)))
+    for G in (F, F.shift(1), F.shift(-2)):
+        for primes in (with_fresh, (2,), cech._relevant_primes(G)):
+            assert cech._predict(G, primes) == _predict_reference(G, primes)
+
+
+def test_predicted_row_shared_by_pruefer_growth_and_torsion():
+    # Z(2^oo) in degree 1 grows in row (2, 0), where Z/4 in degree 0 puts
+    # its exponent: one row carries both, whichever stalk is cached first
+    clear_caches()
+    F = FormalObject.stalk(EM.prufer_sum(zf(2)), 1) + FormalObject.cyclic_stalk(4, 0)
+    for primes in ((2,), (2, 3)):
+        want = ({}, {(2, 0): (1, ((2, 1),))})
+        assert _predict_reference(F, primes) == want
+        assert cech._predict(F, primes) == want
+        assert cech._predict(F.shift(3), primes) == ({}, {(2, -3): (1, ((2, 1),))})
+        assert fingerprints(formal_object_model(F), primes) == predicted_fingerprints(F, primes)
 
 
 def _entries(model):

@@ -33,10 +33,10 @@ differentials:
 
 * integral homology runs once per distinct p-reduction K_p, however
   many blocks and primes share it, and each prime reads its p-part;
-* a tensor of two blocks is built once per shape, with the left factor
-  in the degree of its parity (the Koszul signs read nothing else), by
-  the one Koszul product ``zmodules.tensor``; ``tensor`` here only
-  distributes it over the blocks of models;
+* a tensor A (x) B is observed without being built: the p-reduction of
+  a product is the product of the factors' p-reductions, so the
+  Kuenneth formula gives its rows from the rows of the factors' blocks
+  (``_tensor_rows``), and its rational ranks are products of theirs;
 * a truncation step is checked atom by atom: the truncation functors
   commute with direct sums, so the lower and upper rows of one copy of
   each atom (free, localized, ``Z/p^e``, Pruefer) are observed once per
@@ -50,10 +50,18 @@ differentials:
 Every distinct block still passes the label-containment and d∘d checks.
 
 Each kind of engine answer has one observation path.  rgamma and rq of
-a free complex X are observed on X tensored with the level's model.  A
-truncation along a filtration is observed step by step, each step
-atom by atom, and a constant filtration is one step whose cut lies
-above every degree of the object.
+a free complex X are observed on the built product of X with the
+level's model: ``tensor`` distributes the one Koszul product
+``zmodules.tensor``, built once per shape with the left factor in the
+degree of its parity, over the blocks of models.  That is the only
+tensor the oracle builds.  A truncation along a filtration is observed
+step by step, each step atom by atom; below the cut an atom's models
+are its tensors with the level's stable Koszul complex and with its
+localization cone, observed by Kuenneth.  A constant filtration is one
+step whose cut lies above every degree of the object.  The chain-level
+route of the generator reduction reads Hom(X, Y) = X^v (x) Y by
+Kuenneth too.  Every row still comes from Smith normal forms of chain
+models, never from the engine's atom rules.
 
 An engine answer (a formal object) is checked by predicting the same
 fingerprints in closed form and demanding exact agreement.  Rows keep
@@ -302,6 +310,65 @@ def _add_row(rows: dict, key: tuple, growth: int, exps: tuple) -> None:
         rows[key] = (growth, exps)
 
 
+def _tensor_rows(A, B, primes: tuple) -> tuple:
+    """The ``(ranks, rows)`` dicts of the model A (x) B at sorted primes,
+    read off the rows of the factors' blocks without building the
+    product.
+
+    Dropping the p-divisible summands commutes with (x), so the
+    p-reduction of a product of blocks is the product of their
+    p-reductions, a tensor of bounded free Z-complexes, and the Kuenneth
+    formula (Weibel, *An Introduction to Homological Algebra*, 3.6.3)
+    gives its homology: H^n = sum over i + j = n of H^i (x) H^j, plus
+    Tor(H^i, H^j) over i + j = n + 1.  At p, growth counts multiply, a
+    free row carries the other factor's exponents times its growth, and
+    each pair Z/p^a, Z/p^b gives Z/p^min(a, b) in degree i + j and again,
+    from Tor, in degree i + j - 1 (torsion at other primes meets nothing
+    at p).  Over Q rational ranks multiply.
+
+    >>> Z4 = FreeComplex.cyclic_resolution(4)
+    >>> _tensor_rows(Z4, FreeComplex.cyclic_resolution(2), (2,))
+    ({}, {(2, 0): (0, ((1, 1),)), (2, -1): (0, ((1, 1),))})
+    """
+    ranks: dict = {}
+    rows: dict = {}
+    for a in _blocks(A):
+        rational_a = _rational_ranks(a.ranks, a.diffs)
+        for b in _blocks(B):
+            base = a.min_degree + b.min_degree
+            for j, s in _rational_ranks(b.ranks, b.diffs):
+                for i, r in rational_a:
+                    ranks[base + i + j] = ranks.get(base + i + j, 0) + r * s
+            for p in primes:
+                rows_b = _integral_homology_mod(b.labels, b.diffs, p)
+                for i, growth_a, exps_a in _integral_homology_mod(a.labels, a.diffs, p):
+                    for j, growth_b, exps_b in rows_b:
+                        _add_kuenneth_pair(
+                            rows, p, base + i + j, growth_a, exps_a, growth_b, exps_b
+                        )
+    return ranks, rows
+
+
+def _add_kuenneth_pair(rows, p, d, growth_a, exps_a, growth_b, exps_b) -> None:
+    """Add the Kuenneth rows of one pair of p-local rows in degree d: the
+    tensor part in d and the Tor part in d - 1."""
+    acc: dict = {}
+    for exps, growth in ((exps_a, growth_b), (exps_b, growth_a)):
+        if growth:
+            for e, m in exps:
+                acc[e] = acc.get(e, 0) + growth * m
+    tor: dict = {}
+    for e, m in exps_a:
+        for f, n in exps_b:
+            tor[min(e, f)] = tor.get(min(e, f), 0) + m * n
+    for e, m in tor.items():
+        acc[e] = acc.get(e, 0) + m
+    if growth_a * growth_b or acc:
+        _add_row(rows, (p, d), growth_a * growth_b, tuple(sorted(acc.items())))
+    if tor:
+        _add_row(rows, (p, d - 1), 0, tuple(sorted(tor.items())))
+
+
 def fingerprints(W, primes) -> OracleReport:
     """Observe a model (a tuple of blocks, or one block): rational ranks
     and p-local fingerprints.
@@ -513,20 +580,17 @@ def _quotient_module(Z: ZSubset, E: ElementaryModule) -> ElementaryModule:
 
 def _tau_stalk_models(E: ElementaryModule, Z: ZSubset, side: int, d: int):
     """The lower and upper blocks of the stalk E in degree d, which lies
-    below (``side`` -1), at (0) or above (1) the cut of a one-level
-    truncation at Z: a fully absorbed stalk contributes its stable Koszul
-    tensor below and its localization cone above, a stalk at the cut
-    splits off its module-level torsion, and a higher stalk passes
-    through (Z is not read)."""
+    at (``side`` 0) or above (1) the cut of a one-level truncation at Z:
+    a stalk at the cut splits off its module-level torsion, and a higher
+    stalk passes through (Z is not read).  A stalk below the cut has no
+    built models: its stable Koszul tensor and localization cone are
+    observed by Kuenneth (``_tau_atom_rows``)."""
     if side == 0:
         return (
             formal_object_model(FormalObject.stalk(_gamma_module(Z, E), d)),
             formal_object_model(FormalObject.stalk(_quotient_module(Z, E), d)),
         )
-    piece = formal_object_model(FormalObject.stalk(E, d))
-    if side < 0:
-        return tensor(piece, cech_model(Z)), tensor(piece, rq_model_complex(Z))
-    return (), piece
+    return (), formal_object_model(FormalObject.stalk(E, d))
 
 
 def _atoms(E: ElementaryModule):
@@ -546,13 +610,22 @@ def _atoms(E: ElementaryModule):
 @lru_cache(maxsize=None)
 def _tau_atom_rows(atom: ElementaryModule, Z, side: int, parity: int, primes: tuple):
     """The observed rows of the lower and upper models of one unit atom
-    in degree ``parity`` (``_tau_stalk_models``) at sorted primes, as
-    ``(ranks, rows)`` item tuples per vertex.  A pass-through atom
-    (``side`` 1) is keyed with Z None: its models do not depend on it."""
-    return tuple(
-        tuple(tuple(table.items()) for table in _observe(W, primes))
-        for W in _tau_stalk_models(atom, Z, side, parity)
-    )
+    in degree ``parity`` at sorted primes, as ``(ranks, rows)`` item
+    tuples per vertex.  Below the cut (``side`` -1) they are the rows of
+    the atom's model tensored with ``cech_model(Z)`` and with
+    ``rq_model_complex(Z)``, read by Kuenneth from the factors' rows
+    (``_tensor_rows``); at or above it, the observed rows of the built
+    models of ``_tau_stalk_models``.  A pass-through atom (``side`` 1) is
+    keyed with Z None: its models do not depend on it."""
+    if side < 0:
+        piece = formal_object_model(FormalObject.stalk(atom, parity))
+        tables = (
+            _tensor_rows(piece, cech_model(Z), primes),
+            _tensor_rows(piece, rq_model_complex(Z), primes),
+        )
+    else:
+        tables = (_observe(W, primes) for W in _tau_stalk_models(atom, Z, side, parity))
+    return tuple(tuple(tuple(table.items()) for table in pair) for pair in tables)
 
 
 def _add_scaled(observed: tuple, ranks: tuple, rows: tuple, shift: int, m: int) -> None:
@@ -573,9 +646,9 @@ def _tau_step_rows(i: int, Z: ZSubset, F: FormalObject, primes: tuple) -> tuple:
     """The ``(ranks, rows)`` dicts, one pair per vertex, that the chain
     models of the one-level truncation of F at (i, Z) show at sorted
     primes.  The models are those of a split model of F, atom by atom
-    (``_tau_stalk_models``).  Homology is additive, so each unit atom's
-    rows are observed once, on blocks built in the degree of its parity,
-    and added m times over with its stalk's even shift."""
+    (``_tau_atom_rows``).  Homology is additive, so each unit atom's
+    rows are observed once, on blocks in the degree of its parity, and
+    added m times over with its stalk's even shift."""
     lower, upper = ({}, {}), ({}, {})
     for d, E in F.graded:
         parity = d % 2
@@ -636,7 +709,8 @@ def validate_tau_filtration(filtration: SpFiltration, F: FormalObject) -> Valida
 
 def no_maps_into_nonpositive_shifts(X: FreeComplex, Y: FormalObject) -> bool:
     """No maps from the free complex X into Y[m] for any m <= 0, read off
-    the chain complex Hom(X, Y) = X^v (x) Y of a model of Y.
+    the chain complex Hom(X, Y) = X^v (x) Y of a model of Y, whose rows
+    come by Kuenneth from those of X^v and of the model (``_tensor_rows``).
 
     Its homology H^m is Hom(X, Y[m]), an elementary module.  Its torsion
     lies at the torsion primes of X or at primes Y names; its Pruefer
@@ -652,20 +726,24 @@ def no_maps_into_nonpositive_shifts(X: FreeComplex, Y: FormalObject) -> bool:
     False
     """
     primes = _relevant_primes(Y, from_free_complex(X))
-    primes += (fresh_prime(primes),)
-    # X^v: the dual of degree d sits in degree -d, differentials transposed
+    primes = tuple(sorted(primes + (fresh_prime(primes),)))
+    ranks, rows = _tensor_rows(_dual(X), formal_object_model(Y), primes)
+    return all(r == 0 for d, r in ranks.items() if d <= 0) and all(
+        d > 0 or (d == 0 and not exps) for (_, d), (_, exps) in rows.items()
+    )
+
+
+def _dual(X: FreeComplex) -> FreeComplex:
+    """X^v = Hom(X, Z) of a complex of free Z-modules: the dual of degree
+    d sits in degree -d, differentials transposed."""
     ranks = X.ranks
-    dual = FreeComplex.free(
+    return FreeComplex.free(
         -X.max_degree,
         ranks[::-1],
         tuple(
             tuple(tuple(row[j] for row in X.diffs[k]) for j in range(ranks[k]))
             for k in reversed(range(len(X.diffs)))
         ),
-    )
-    report = fingerprints(tensor(dual, formal_object_model(Y)), primes)
-    return all(r == 0 for d, r in report.ranks.items() if d <= 0) and all(
-        d > 0 or (d == 0 and not exps) for (_, d), (_, exps) in report.rows.items()
     )
 
 

@@ -38,6 +38,7 @@ POSET_WINDOW = (-2, 2)
 Z_WINDOW = (-3, 3)
 ORTHO_WINDOW = (-4, 4)
 SUFFICIENCY_COMPLEXES = 500
+NONFG_OBJECTS = 40
 PAIR_CORPUS = 200
 
 
@@ -66,12 +67,13 @@ def _cousin_violators_z():
     return tuple((f, rep.witnesses[0]) for f, rep in reports if not rep.holds)
 
 
-def _complex_pool(seed, count):
-    """``count`` distinct random free complexes, in the order first drawn."""
+def _distinct_pool(seed, count, draw):
+    """``count`` distinct values of ``draw(rng)``, in the order first
+    drawn."""
     rng = rng_from_seed(seed)
     pool = {}
     while len(pool) < count:
-        pool.setdefault(random_free_complex(rng), None)
+        pool.setdefault(draw(rng), None)
     return list(pool)
 
 
@@ -160,7 +162,7 @@ def criterion_cousin_sufficiency(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMP
     generated vertices and the full truncation contract on a seeded pool
     of random free complexes."""
     census = _census_z()
-    pool = _complex_pool(seed, n_complexes)
+    pool = _distinct_pool(seed, n_complexes, random_free_complex)
     objects = [from_free_complex(X) for X in pool]
     failures = []
     checked = 0
@@ -197,9 +199,12 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
     localization, one-level and composed truncations.  The
     ``tau-witness`` loop is criterion 2's oracle half: it checks every
     step of each Cousin violator's witness truncation against its chain
-    models, Pruefer multiplicities included."""
+    models, Pruefer multiplicities included.  A seeded corpus of formal
+    objects with localized and Pruefer atoms is truncated along the
+    census too, and must bring such an atom to the cut of some step
+    (``nonfg_cut_steps``)."""
     census = _census_z()
-    pool = _complex_pool(seed, n_complexes)
+    pool = _distinct_pool(seed, n_complexes, random_free_complex)
     failures = []
     levels = sorted(
         {lvl for f in census for lvl in f.all_level_values() if not lvl.is_whole},
@@ -225,14 +230,42 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
         F = FormalObject.free_stalk(1, j - 1)
         if not cech.validate_tau_filtration(f, F).ok:
             failures.append((str(f), "tau-witness"))
+    # formal objects with localized and Pruefer atoms, so that non-f.g.
+    # atoms meet the cut of a step, which free complexes never bring there
+    formal = _distinct_pool(seed + 89, NONFG_OBJECTS, random_formal_object)
+    nonfg_cut_steps = 0
+    for k, F in enumerate(formal):
+        for f in census:
+            nonfg_cut_steps += _nonfg_cut_steps(f, F)
+            if not cech.validate_tau_filtration(f, F).ok:
+                failures.append((k, str(f), "tau-nonfg"))
+    if not nonfg_cut_steps:
+        failures.append(("no cut-level step with a non-f.g. atom", "tau-nonfg"))
     return {
         "ok": not failures,
         "levels": len(levels),
         "complexes": len(pool),
         "distinct": len(set(pool)),
         "violating": len(violating),
+        "formal_objects": len(formal),
+        "formal_cases": len(formal) * len(census),
+        "nonfg_cut_steps": nonfg_cut_steps,
         "failures": failures[:5],
     }
+
+
+def _nonfg_cut_steps(f, F) -> int:
+    """The steps of the composed truncation of F along a non-constant f
+    whose input has a localized or Pruefer atom in the degree of the cut
+    (the engine's memoized steps, the ones the oracle checks)."""
+    if f.is_constant:
+        return 0
+    s, n = f.determined_interval()
+    count = 0
+    for j in range(s, n + 1):
+        count += not F.component(j).is_fg
+        F = derived.tau_single(j, f.value(j), F).upper
+    return count
 
 
 @_timed("generator-reduction")

@@ -97,6 +97,9 @@ def test_criterion_4_engine_oracle_agreement():
     report = _run("engine-oracle-agreement")
     assert report["distinct"] == report["complexes"] >= 500
     assert report["violating"] > 0
+    assert report["formal_objects"] == suites.NONFG_OBJECTS
+    assert report["formal_cases"] == suites.NONFG_OBJECTS * len(suites._census_z())
+    assert report["nonfg_cut_steps"] > 0
 
 
 def test_criterion_4_catches_a_doubled_pruefer_multiplicity(monkeypatch):
@@ -117,6 +120,33 @@ def test_criterion_4_catches_a_doubled_pruefer_multiplicity(monkeypatch):
         assert suites.criterion_cousin_necessity(suites.DEFAULT_SEED)["ok"]
     finally:
         # the mutant's memoized steps and models must not reach later tests
+        derived.tau_single.cache_clear()
+        cech.clear_caches()
+
+
+def test_criterion_4_catches_pruefer_kept_at_the_cut(monkeypatch):
+    # the quotient at the cut keeps the Z-part of every Pruefer sum: free
+    # complexes never bring a Pruefer atom to the cut, the formal-object
+    # corpus does
+    def keeps_pruefer(Z, E):
+        if Z.is_whole:
+            return ElementaryModule.zero()
+        out = ElementaryModule.free(E.free_rank)
+        for s, r in E.localized:
+            out = out + ElementaryModule.localized_free(s, r)
+        for p, e, m in E.torsion:
+            if not Z.contains(p):
+                out = out + ElementaryModule.cyclic_torsion(p, e, m)
+        for s, m in E.prufer:
+            out = out + ElementaryModule.prufer_sum(s, m)
+        return out
+
+    monkeypatch.setattr(derived, "torsion_quotient", keeps_pruefer)
+    try:
+        report = suites.criterion_oracle_agreement(suites.DEFAULT_SEED, n_complexes=0)
+        assert not report["ok"]
+        assert report["failures"] and all(f[-1] == "tau-nonfg" for f in report["failures"])
+    finally:
         derived.tau_single.cache_clear()
         cech.clear_caches()
 

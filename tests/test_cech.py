@@ -878,6 +878,109 @@ def test_placed_tensor_matches_koszul_product(seed, shift):
     assert _entries(tensor(model, rights[0])) == _entries(_tensor_reference(model, rights[0]))
 
 
+# -- Kuenneth rows against the observed rows of the built product -------------
+
+# the level sets of the stable Koszul factors, and the sets of the
+# localized and Pruefer atoms: finite and cofinite ones
+_LEVELS = (E, zf(2), zf(3, 5), MAXIMALS, ZSubset.cofinite([3]), W)
+_ATOM_SETS = (zf(2), zf(3, 5), zf(2, 3, 5), MAXIMALS, ZSubset.cofinite([2]))
+# every prime the draws name, and the fresh one that stands for the rest
+_KUENNETH_PRIMES = DEFAULT_PRIMES + (fresh_prime(DEFAULT_PRIMES),)
+
+
+def _kuenneth_left(data):
+    """A left factor in a degree of either parity: the model of one copy
+    of an atom of each kind (one block), a random free complex or its
+    dual (one block), or the model of a random formal object."""
+    kind = data.draw(
+        st.sampled_from(("free", "localized", "torsion", "pruefer", "complex", "dual", "object"))
+    )
+    degree = data.draw(st.integers(-2, 3))
+    rng = rng_from_seed(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "object":
+        return formal_object_model(random_formal_object(rng).shift(degree))
+    if kind in ("complex", "dual"):
+        X = random_free_complex(rng)
+        X = cech._dual(X) if kind == "dual" else X
+        return FreeComplex(degree, X.labels, X.diffs)
+    if kind == "free":
+        atom = EM.free(1)
+    elif kind == "torsion":
+        atom = EM.cyclic_torsion(data.draw(st.sampled_from(DEFAULT_PRIMES)), data.draw(st.integers(1, 3)))
+    else:
+        S = data.draw(st.sampled_from(_ATOM_SETS))
+        atom = EM.localized_free(S, 1) if kind == "localized" else EM.prufer_sum(S)
+    (block,) = formal_object_model(FormalObject.stalk(atom, degree))
+    return block
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_kuenneth_rows_match_the_built_tensor(data):
+    # B is a stable Koszul factor (the step checks) or a second factor
+    # like A (the Hom route's X^v (x) Y, where torsion meets torsion); the
+    # built product of two blocks is ``zmodules.tensor``'s
+    clear_caches()
+    A = _kuenneth_left(data)
+    if data.draw(st.booleans()):
+        build = data.draw(st.sampled_from((cech_model, rq_model_complex)))
+        C = build(data.draw(st.sampled_from(_LEVELS)))
+        B = FreeComplex(data.draw(st.integers(-1, 0)), C.labels, C.diffs)
+    else:
+        B = _kuenneth_left(data)
+    primes = data.draw(st.sampled_from((_KUENNETH_PRIMES, (2,), (3, 7))))
+    # either factor on the left: a free row carries the other's exponents
+    for left, right in ((A, B), (B, A)):
+        assert cech._tensor_rows(left, right, primes) == cech._observe(tensor(left, right), primes)
+
+
+@pytest.mark.parametrize(
+    "A, B, want",
+    [
+        # Z/4 (x) Z/2 = Z/2 in degree 0, Tor(Z/4, Z/2) = Z/2 in degree -1
+        (
+            FreeComplex.cyclic_resolution(4),
+            FreeComplex.cyclic_resolution(2),
+            {(2, 0): (0, ((1, 1),)), (2, -1): (0, ((1, 1),))},
+        ),
+        # Z/8 in degree 1 (x) Z/4 in degree 0: Z/4 in degree 1 and in degree 0
+        (
+            FreeComplex.cyclic_resolution(8, 1),
+            FreeComplex.cyclic_resolution(4),
+            {(2, 1): (0, ((2, 1),)), (2, 0): (0, ((2, 1),))},
+        ),
+        # Z^2 (x) Z/4 = (Z/4)^2, and Z[1/2] kills the 2-part: no Tor
+        (
+            FreeComplex.stalk_free(2, 1),
+            FreeComplex.cyclic_resolution(4),
+            {(2, 1): (0, ((2, 2),))},
+        ),
+        (FreeComplex(0, ((zf(2),),), ()), FreeComplex.cyclic_resolution(4), {}),
+    ],
+)
+def test_kuenneth_rows_by_hand(A, B, want):
+    assert cech._tensor_rows(A, B, (2,)) == ({}, want)
+    assert cech._observe(zmodules.tensor(A, B), (2,)) == ({}, want)
+
+
+def test_step_checks_and_hom_route_build_no_tensor():
+    # below the cut the step checks, and the Hom-complex route, read the
+    # product's rows by Kuenneth: the block product is never called
+    clear_caches()
+    rng = rng_from_seed(2207)
+    objects = [random_formal_object(rng) for _ in range(4)]
+    objects += [from_free_complex(random_free_complex(rng)) for _ in range(2)]
+    for F in objects:
+        for f in _census_z():
+            assert validate_tau_filtration(f, F).ok
+    for _ in range(20):
+        X, Y = random_free_complex(rng), random_formal_object(rng)
+        cech.no_maps_into_nonpositive_shifts(X, Y)
+    assert cech._tau_atom_rows.cache_info().currsize > 0
+    info = zmodules._tensor_product.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_homology_per_reduction_matches_reference(seed):

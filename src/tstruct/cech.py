@@ -83,7 +83,7 @@ from .elementary import ElementaryModule
 from .filtration import SpFiltration
 from .spectrum import ZSubset, fresh_prime
 from . import zmodules
-from .zmodules import FreeComplex, homology, rank_rational, zeros
+from .zmodules import FreeComplex, homology, rank_rational
 
 
 # ---------------------------------------------------------------------------
@@ -106,37 +106,6 @@ def tensor(A, B):
     if isinstance(A, FreeComplex) and isinstance(B, FreeComplex):
         return zmodules.tensor(A, B)
     return tuple(zmodules.tensor(a, b) for a in _blocks(A) for b in _blocks(B))
-
-
-def cone_of_augmentation(A: FreeComplex) -> FreeComplex:
-    """Mapping cone of the degree-0 augmentation A -> unit, for complexes
-    with a single plain-Z summand in degree 0 (the stable Koszul shape)."""
-    ring = ZSubset.empty()
-    if A.labels_at(0) != (ring,):
-        raise ValueError("complex has no canonical augmentation")
-    lo = A.min_degree - 1
-    hi = A.max_degree
-    labels = []
-    diffs = []
-    for d in range(lo, hi + 1):
-        lab = tuple(A.labels_at(d + 1)) + ((ring,) if d == 0 else ())
-        labels.append(lab)
-    for d in range(lo, hi):
-        src_a = A.labels_at(d + 1)
-        tgt_a = A.labels_at(d + 2)
-        DA = A.diff_at(d + 1)
-        rows = len(tgt_a) + (1 if d + 1 == 0 else 0)
-        cols = len(src_a) + (1 if d == 0 else 0)
-        M = zeros(rows, cols)
-        for i in range(len(tgt_a)):
-            for j in range(len(src_a)):
-                M[i][j] = -DA[i][j]
-        if d + 1 == 0:
-            # the augmentation component lands on the extra unit summand
-            for j in range(len(src_a)):
-                M[len(tgt_a)][j] = 1 if src_a[j].is_empty else 0
-        diffs.append(M)
-    return FreeComplex(lo, tuple(labels), tuple(tuple(tuple(r) for r in M) for M in diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +136,15 @@ def cech_model(Z: ZSubset) -> FreeComplex:
 
 @lru_cache(maxsize=None)
 def rq_model_complex(Z: ZSubset) -> FreeComplex:
-    """Chain model of the localization functor applied to the ring."""
+    """Chain model of the localization functor applied to the ring: the
+    cone of the augmentation of ``cech_model(Z)``, Z in degree -1 mapped
+    by (-1, 1) to Z[1/Z] (+) Z in degree 0."""
     if Z.is_whole:
         return FreeComplex.zero()
     if Z.is_empty:
         return FreeComplex.stalk_free(1)
-    return cone_of_augmentation(cech_model(Z))
+    ring = ZSubset.empty()
+    return FreeComplex(-1, ((ring,), (Z, ring)), (((-1,), (1,)),))
 
 
 def _atom_models(degree: int, E: ElementaryModule):

@@ -40,6 +40,7 @@ from .spectrum import (
     SPEC_Z,
     CodimFn,
     FinPoset,
+    ZSubset,
     spectrum_from_json,
     subset_from_json,
 )
@@ -171,7 +172,10 @@ def _cmd_census(args) -> int:
         raise UsageError(f"bad window {args.window!r}, expected a..b")
     universe = None
     if spectrum == SPEC_Z:
-        universe = tuple(int(p) for p in args.universe.split(","))
+        try:
+            universe = ZSubset.finite(int(p) for p in args.universe.split(",")).primes
+        except ValueError as exc:
+            raise UsageError(f"bad --universe {args.universe!r}: {exc}")
     census = enumerate_weak_cousin(spectrum, window, universe=universe, cap=args.cap)
     payload = {"count": len(census)}
     if not args.count_only:
@@ -331,15 +335,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_seed() -> int:
+    value = os.environ.get("TSTRUCT_SEED", str(DEFAULT_SEED))
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"TSTRUCT_SEED must be an integer, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.seed is None:
-        args.seed = int(os.environ.get("TSTRUCT_SEED", DEFAULT_SEED))
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,51 +29,40 @@ def rng_from_seed(seed: int) -> random.Random:
     return random.Random(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 
-def random_fg_module(
-    rng: random.Random,
-    primes=DEFAULT_PRIMES,
-    max_rank: int = 2,
-    max_exp: int = 3,
-    max_pieces: int = 2,
-) -> ElementaryModule:
-    rank = rng.randint(0, max_rank)
+def random_fg_module(rng: random.Random) -> ElementaryModule:
+    """Z^r with r <= 2 plus at most two cyclic p-groups Z/p^e, e <= 3."""
+    rank = rng.randint(0, 2)
     torsion = []
-    for _ in range(rng.randint(0, max_pieces)):
-        torsion.append((rng.choice(primes), rng.randint(1, max_exp), 1))
+    for _ in range(rng.randint(0, 2)):
+        torsion.append((rng.choice(DEFAULT_PRIMES), rng.randint(1, 3), 1))
     return ElementaryModule(rank, torsion=tuple(torsion))
 
 
-def random_fg_object(
-    rng: random.Random,
-    primes=DEFAULT_PRIMES,
-    max_degrees: int = 3,
-) -> FormalObject:
+def random_fg_object(rng: random.Random) -> FormalObject:
+    """Finitely generated homology in at most three degrees."""
     lo, hi = DEGREE_WINDOW
-    degs = rng.sample(range(lo, hi + 1), rng.randint(1, max_degrees))
+    degs = rng.sample(range(lo, hi + 1), rng.randint(1, 3))
     graded = []
     for d in degs:
-        M = random_fg_module(rng, primes)
+        M = random_fg_module(rng)
         if not M.is_zero:
             graded.append((d, M))
     return FormalObject(tuple(graded))
 
 
-def random_subset_z(rng: random.Random, primes=DEFAULT_PRIMES) -> ZSubset:
+def random_subset_z(rng: random.Random) -> ZSubset:
     roll = rng.random()
     if roll < 0.2:
         return ZSubset.whole()
-    chosen = [p for p in primes if rng.random() < 0.5]
+    chosen = [p for p in DEFAULT_PRIMES if rng.random() < 0.5]
     return ZSubset.finite(chosen)
 
 
-def random_formal_object(
-    rng: random.Random,
-    primes=DEFAULT_PRIMES,
-    max_degrees: int = 3,
-) -> FormalObject:
-    """A formal object that may carry localized and Pruefer atoms."""
+def random_formal_object(rng: random.Random) -> FormalObject:
+    """A formal object in at most three degrees that may carry localized
+    and Pruefer atoms."""
     lo, hi = DEGREE_WINDOW
-    degs = rng.sample(range(lo, hi + 1), rng.randint(1, max_degrees))
+    degs = rng.sample(range(lo, hi + 1), rng.randint(1, 3))
     graded = []
     for d in degs:
         E = ElementaryModule.zero()
@@ -83,15 +72,14 @@ def random_formal_object(
                 E = E + ElementaryModule.free(rng.randint(1, 2))
             elif kind < 0.7:
                 E = E + ElementaryModule.cyclic_torsion(
-                    rng.choice(primes), rng.randint(1, 3)
+                    rng.choice(DEFAULT_PRIMES), rng.randint(1, 3)
                 )
             elif kind < 0.85:
-                S = ZSubset.finite([p for p in primes if rng.random() < 0.5])
+                S = ZSubset.finite([p for p in DEFAULT_PRIMES if rng.random() < 0.5])
                 E = E + ElementaryModule.localized_free(S, 1)
             else:
-                S = ZSubset.finite(
-                    [p for p in primes if rng.random() < 0.5] or [rng.choice(primes)]
-                )
+                chosen = [p for p in DEFAULT_PRIMES if rng.random() < 0.5]
+                S = ZSubset.finite(chosen or [rng.choice(DEFAULT_PRIMES)])
                 E = E + ElementaryModule.prufer_sum(S, 1)
         if not E.is_zero:
             graded.append((d, E))
@@ -118,54 +106,39 @@ def _random_unimodular_with_inverse(rng: random.Random, n: int, moves: int):
     return U, V
 
 
-def random_free_complex(
-    rng: random.Random,
-    max_terms: int = 6,
-    max_rank: int = 3,
-    max_entry: int = 20,
-    primes=DEFAULT_PRIMES,
-    max_exp: int = 3,
-) -> FreeComplex:
-    """A bounded free complex with small ranks and bounded entries.
+def random_free_complex(rng: random.Random) -> FreeComplex:
+    """A bounded free complex: at most 6 terms of rank at most 3, with
+    entries of absolute value at most 20.
 
-    Each attempt draws its summands as ``(degree, rank, entry)`` triples:
-    ``(d, r, 0)`` for a stalk Z^r in degree d, ``(d, 1, p**e)`` for the
-    resolution Z --p**e--> Z ending in degree d.  Ranks and length are
-    checked on the triples; then the block-diagonal differentials, with
-    the summands in drawn order within each degree, are disguised by
-    unimodular changes of basis and validated once, as the returned
-    complex.
+    Each attempt draws one to three summands as ``(degree, rank, entry)``
+    triples: ``(d, r, 0)`` for a stalk Z^r in degree d, ``(d, 1, p**e)``
+    (e <= 3) for the resolution Z --p**e--> Z ending in degree d.  Ranks
+    and length are checked on the triples; then the block-diagonal
+    differentials, with the summands in drawn order within each degree,
+    are disguised by unimodular changes of basis and validated once, as
+    the returned complex.
 
     >>> X = random_free_complex(rng_from_seed(11))
     >>> all(abs(x) <= 20 for M in X.diffs for row in M for x in row)
     True
     """
-    for name, value, least in (
-        ("max_terms", max_terms, 2),
-        ("max_rank", max_rank, 1),
-        ("max_exp", max_exp, 1),
-    ):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
-    if not primes:
-        raise ValueError("primes must name at least one prime")
     lo, hi = DEGREE_WINDOW
     while True:
         pieces = []
-        for _ in range(rng.randint(1, max_terms // 2)):
+        for _ in range(rng.randint(1, 3)):
             d = rng.randint(lo + 1, hi)
             if rng.random() < 0.4:
                 pieces.append((d, rng.randint(1, 2), 0))
             else:
-                p = rng.choice(primes)
-                pieces.append((d, 1, p ** rng.randint(1, max_exp)))
+                p = rng.choice(DEFAULT_PRIMES)
+                pieces.append((d, 1, p ** rng.randint(1, 3)))
         start = min(d - 1 if n else d for d, _, n in pieces)
         ranks = [0] * (max(d for d, _, _ in pieces) - start + 1)
         for d, r, n in pieces:
             ranks[d - start] += r
             if n:
                 ranks[d - 1 - start] += 1
-        if len(ranks) > max_terms or any(r > max_rank for r in ranks):
+        if len(ranks) > 6 or any(r > 3 for r in ranks):
             continue
         # the direct sum: the summands' basis vectors in drawn order
         diffs = [[[0] * ranks[k] for _ in range(ranks[k + 1])] for k in range(len(ranks) - 1)]
@@ -184,6 +157,6 @@ def random_free_complex(
         for k, M in enumerate(diffs):
             if ranks[k] and ranks[k + 1]:
                 diffs[k] = matmul(matmul(us[k + 1][0], M), us[k][1])
-        if any(abs(x) > max_entry for M in diffs for row in M for x in row):
+        if any(abs(x) > 20 for M in diffs for row in M for x in row):
             continue
         return FreeComplex.free(start, ranks, diffs)

@@ -46,15 +46,15 @@ def integer(value, what: str) -> int:
     return value
 
 
-def dumps(payload: dict, schema: bool = True) -> str:
-    """Deterministic serialization: same payload, same bytes.
+def dumps(payload: dict) -> str:
+    """Deterministic serialization, tagged with the schema: same payload,
+    same bytes.
 
-    >>> dumps({"b": 2**60, "a": 1}, schema=False)
-    '{"a":1,"b":"1152921504606846976"}'
+    >>> dumps({"b": 2**60, "a": 1})
+    '{"a":1,"b":"1152921504606846976","schema":"tstruct/1"}'
     """
     body = dict(payload)
-    if schema:
-        body.setdefault("schema", SCHEMA)
+    body.setdefault("schema", SCHEMA)
     return json.dumps(_encode(body), sort_keys=True, separators=(",", ":"))
 
 
@@ -63,3 +63,6 @@ def loads(text: str):
         return _decode(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        # the decoder and ``_decode`` both recurse once per nesting level
+        raise ValueError("malformed JSON: nested too deeply")

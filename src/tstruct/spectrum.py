@@ -541,7 +541,8 @@ class ZSubset:
         if self.kind == "whole" and self.primes:
             raise ValueError("whole subset carries no prime data")
         for p in self.primes:
-            zpoint(p)
+            if zpoint(p).is_generic:
+                raise ValueError("a subset prime must be a prime number, got 0")
         # the oracle's caches hash whole rows of labels on every lookup
         object.__setattr__(self, "_hash", hash((self.kind, self.primes)))
 
@@ -668,15 +669,11 @@ def subset_from_json(obj: dict, spectrum):
 
 def _primes_from_json(obj: dict) -> list:
     # the constructors round each entry through int(), so outside input
-    # is checked here: a list of JSON integers (long ones decoded already),
-    # none of them 0, the generic point, which is no maximal ideal
+    # is checked here: a list of JSON integers (long ones decoded already)
     primes = obj.get("primes", [])
     if not isinstance(primes, list):
         raise TypeError(f"subset primes must be a list, got {primes!r}")
-    primes = [integer(p, "subset prime") for p in primes]
-    if 0 in primes:
-        raise ValueError("a subset prime must be a prime number, got 0")
-    return primes
+    return [integer(p, "subset prime") for p in primes]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Each suite exercises one block of the package's contract -- the
 classification round trip, the two directions of the weak Cousin
 theorem, engine/oracle agreement, the duality toolbox, discreteness of
-Cousin filtrations -- and returns a JSON-ready report with an ``ok``
-flag.  The command-line ``verify`` subcommand and the acceptance test
-module both run these; a fixed seed makes every run reproducible.
+Cousin filtrations -- and returns its failures and case counts.
+``_timed`` declares each suite once: it registers the suite and builds
+its JSON-ready report with an ``ok`` flag.  The command-line ``verify``
+subcommand and the acceptance test module both run these; a fixed seed
+makes every run reproducible.
 """
 
 from __future__ import annotations
@@ -77,28 +79,36 @@ def _distinct_pool(seed, count, draw):
     return list(pool)
 
 
-def _timed(name):
-    """Run a criterion or invariant suite with empty oracle caches and
-    truncation-step memo (so they live for one suite run), name its
-    report ``suite`` and add its wall time as ``seconds``.  An engine bug
-    that the engine detects itself (an ``ArithmeticError``) fails the
-    suite with an ``engine-error`` entry instead of ending the run."""
+ACCEPTANCE = {}
+INVARIANTS = {}
 
-    def wrap(criterion):
-        @wraps(criterion)
-        def run(*args, **kwargs):
+
+def _timed(name, registry):
+    """Declare a suite: register its runner in ``registry`` under
+    ``name``.  The suite returns ``(failures, counts)``; the runner
+    clears the oracle caches and truncation-step memo first (so they
+    live for one suite run) and builds the report: ``ok``, the counts,
+    the first five failures, the ``suite`` name and the wall time as
+    ``seconds``.  An engine bug that the engine detects itself (an
+    ``ArithmeticError``) fails the suite with an ``engine-error`` entry
+    instead of ending the run."""
+
+    def wrap(suite):
+        @wraps(suite)
+        def run(seed=DEFAULT_SEED):
             cech.clear_caches()
             derived.tau_single.cache_clear()
             derived.from_free_complex.cache_clear()
             t0 = time.perf_counter()
             try:
-                report = criterion(*args, **kwargs)
+                failures, counts = suite(seed)
             except ArithmeticError as exc:
-                report = {"ok": False, "failures": [("engine-error", str(exc))]}
-            report["suite"] = name
-            report["seconds"] = round(time.perf_counter() - t0, 3)
-            return report
+                failures, counts = [("engine-error", str(exc))], {}
+            seconds = round(time.perf_counter() - t0, 3)
+            return {"ok": not failures, **counts, "failures": failures[:5],
+                    "suite": name, "seconds": seconds}
 
+        registry[name] = run
         return run
 
     return wrap
@@ -108,8 +118,8 @@ def _timed(name):
 # acceptance criteria
 
 
-@_timed("classification-round-trip")
-def criterion_classification(seed=DEFAULT_SEED) -> dict:
+@_timed("classification-round-trip", ACCEPTANCE)
+def criterion_classification(seed):
     """Round trip: reading a filtration back from aisle membership of its
     stalk generators reproduces it exactly, over the two-chain poset and
     over Spec(Z)."""
@@ -128,16 +138,11 @@ def criterion_classification(seed=DEFAULT_SEED) -> dict:
                 stalk = FormalObject.cyclic_stalk(pt.p, j)
                 if derived.in_aisle(f, stalk) != f.value(j).contains(pt):
                     failures.append((str(f), j, str(pt)))
-    return {
-        "ok": not failures,
-        "poset_census": len(poset_census),
-        "z_census": len(z_census),
-        "failures": failures[:5],
-    }
+    return failures, {"poset_census": len(poset_census), "z_census": len(z_census)}
 
 
-@_timed("weak-cousin-necessity")
-def criterion_cousin_necessity(seed=DEFAULT_SEED) -> dict:
+@_timed("weak-cousin-necessity", ACCEPTANCE)
+def criterion_cousin_necessity(seed):
     """Every census filtration violating the weak Cousin condition yields
     a truncation with non-finitely-generated vertices.  This is the
     engine half; its oracle half is criterion 4's ``tau-witness`` loop,
@@ -149,20 +154,16 @@ def criterion_cousin_necessity(seed=DEFAULT_SEED) -> dict:
         for f, (j, q, p) in violating
         if not derived.cousin_failure_witness(p, q, j, f).holds
     ]
-    return {
-        "ok": not failures,
-        "violating": len(violating),
-        "failures": failures[:5],
-    }
+    return failures, {"violating": len(violating)}
 
 
-@_timed("weak-cousin-sufficiency")
-def criterion_cousin_sufficiency(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLEXES) -> dict:
+@_timed("weak-cousin-sufficiency", ACCEPTANCE)
+def criterion_cousin_sufficiency(seed):
     """Weak-Cousin filtrations preserve finite generation: finitely
     generated vertices and the full truncation contract on a seeded pool
     of random free complexes."""
     census = _census_z()
-    pool = _distinct_pool(seed, n_complexes, random_free_complex)
+    pool = _distinct_pool(seed, SUFFICIENCY_COMPLEXES, random_free_complex)
     objects = [from_free_complex(X) for X in pool]
     failures = []
     checked = 0
@@ -182,18 +183,16 @@ def criterion_cousin_sufficiency(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMP
                 break
         if failures and len(failures) > 10:
             break
-    return {
-        "ok": not failures,
+    return failures, {
         "census": len(census),
         "complexes": len(pool),
         "distinct": len(set(pool)),
         "pairs": checked,
-        "failures": failures[:5],
     }
 
 
-@_timed("engine-oracle-agreement")
-def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLEXES) -> dict:
+@_timed("engine-oracle-agreement", ACCEPTANCE)
+def criterion_oracle_agreement(seed):
     """Engine versus stable-Koszul oracle on every finite-level case of
     the necessity and sufficiency corpora: local cohomology,
     localization, one-level and composed truncations.  The
@@ -204,7 +203,7 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
     census too, and must bring such an atom to the cut of some step
     (``nonfg_cut_steps``)."""
     census = _census_z()
-    pool = _distinct_pool(seed, n_complexes, random_free_complex)
+    pool = _distinct_pool(seed, SUFFICIENCY_COMPLEXES, random_free_complex)
     failures = []
     levels = sorted(
         {lvl for f in census for lvl in f.all_level_values() if not lvl.is_whole},
@@ -241,8 +240,7 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
                 failures.append((k, str(f), "tau-nonfg"))
     if not nonfg_cut_steps:
         failures.append(("no cut-level step with a non-f.g. atom", "tau-nonfg"))
-    return {
-        "ok": not failures,
+    return failures, {
         "levels": len(levels),
         "complexes": len(pool),
         "distinct": len(set(pool)),
@@ -250,7 +248,6 @@ def criterion_oracle_agreement(seed=DEFAULT_SEED, n_complexes=SUFFICIENCY_COMPLE
         "formal_objects": len(formal),
         "formal_cases": len(formal) * len(census),
         "nonfg_cut_steps": nonfg_cut_steps,
-        "failures": failures[:5],
     }
 
 
@@ -268,53 +265,43 @@ def _nonfg_cut_steps(f, F) -> int:
     return count
 
 
-@_timed("generator-reduction")
-def criterion_generator_reduction(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
+@_timed("generator-reduction", ACCEPTANCE)
+def criterion_generator_reduction(seed):
     """Hom-vanishing computed through the hereditary splitting agrees with
     the stalk-generator criterion and with the chain complex Hom(X, Y) of
     the oracle on a seeded corpus of pairs."""
     rng = rng_from_seed(seed + 5)
     failures = []
-    for k in range(pairs):
+    for k in range(PAIR_CORPUS):
         X = random_free_complex(rng)
         Y = random_formal_object(rng)
         rep = derived.generator_reduction_crosscheck(X, Y)
         via_chains = cech.no_maps_into_nonpositive_shifts(X, Y)
         if not rep.agree or via_chains != rep.via_hom_complex:
             failures.append((k, rep.via_hom_complex, rep.via_stalk_generators, via_chains))
-    return {
-        "ok": not failures,
-        "pairs": pairs,
-        "failures": failures[:5],
-    }
+    return failures, {"pairs": PAIR_CORPUS}
 
 
-@_timed("top-index")
-def criterion_top_index(seed=DEFAULT_SEED, pairs=PAIR_CORPUS) -> dict:
+@_timed("top-index", ACCEPTANCE)
+def criterion_top_index(seed):
     """The two top-degree computations agree at the generic point and at
-    (2), (3), (5) for the same seeded complex corpus."""
+    (2), (3), (5) for the same seeded complex corpus (``top_indices``
+    raises on a disagreement)."""
     rng = rng_from_seed(seed + 5)
     failures = []
-    for k in range(pairs):
+    for k in range(PAIR_CORPUS):
         X = random_free_complex(rng)
         random_formal_object(rng)  # keep the stream aligned with criterion 5
         for p in (0, 2, 3, 5):
             try:
-                m, h = top_indices(X, p)
+                top_indices(X, p)
             except ArithmeticError as exc:
                 failures.append((k, p, str(exc)))
-                continue
-            if m != h:
-                failures.append((k, p, m, h))
-    return {
-        "ok": not failures,
-        "pairs": pairs,
-        "failures": failures[:5],
-    }
+    return failures, {"pairs": PAIR_CORPUS}
 
 
-@_timed("duality")
-def criterion_duality(seed=DEFAULT_SEED, samples=PAIR_CORPUS) -> dict:
+@_timed("duality", ACCEPTANCE)
+def criterion_duality(seed):
     """Duality toolbox: involution, recomputed codimension, two-way
     membership agreement, and internally equivalent finiteness
     predicates on a seeded corpus."""
@@ -324,7 +311,7 @@ def criterion_duality(seed=DEFAULT_SEED, samples=PAIR_CORPUS) -> dict:
         want = 0 if p == 0 else 1
         if duality.codim_from_dualizing(p) != want:
             failures.append(("codim", p))
-    for k in range(samples):
+    for k in range(PAIR_CORPUS):
         X = random_fg_object(rng)
         if duality.dualize(duality.dualize(X)) != X:
             failures.append(("involution", k))
@@ -339,15 +326,11 @@ def criterion_duality(seed=DEFAULT_SEED, samples=PAIR_CORPUS) -> dict:
             duality.kashiwara2_predicate(Z, X, n)
         except ArithmeticError as exc:
             failures.append(("predicate", k, str(exc)))
-    return {
-        "ok": not failures,
-        "samples": samples,
-        "failures": failures[:5],
-    }
+    return failures, {"samples": PAIR_CORPUS}
 
 
-@_timed("dual-filtration")
-def criterion_dual_filtration(seed=DEFAULT_SEED) -> dict:
+@_timed("dual-filtration", ACCEPTANCE)
+def criterion_dual_filtration(seed):
     """The dual of the canonical filtration is the codimension filtration,
     and orthogonality transport validates the dual formula on every
     weak-Cousin census filtration."""
@@ -357,21 +340,17 @@ def criterion_dual_filtration(seed=DEFAULT_SEED) -> dict:
     if filt.dual_filtration(canonical, codim) != filt.cm_filtration(codim):
         failures.append("dual-of-canonical")
     for f in _census_z():
-        rep = duality.dual_filtration_validate(f, trials=40, seed=seed)
+        rep = duality.dual_filtration_validate(f, seed=seed)
         if not rep.ok:
             failures.append((str(f), rep.mismatches[:2]))
         dual = filt.dual_filtration(f, codim)
         if filt.dual_filtration(dual, codim) != f:
             failures.append((str(f), "not-involutive"))
-    return {
-        "ok": not failures,
-        "census": len(_census_z()),
-        "failures": failures[:5],
-    }
+    return failures, {"census": len(_census_z())}
 
 
-@_timed("discreteness")
-def criterion_discreteness(seed=DEFAULT_SEED) -> dict:
+@_timed("discreteness", ACCEPTANCE)
+def criterion_discreteness(seed):
     """Weak-Cousin filtrations stabilize to open-closed values; on a
     connected spectrum the nonconstant ones run from everything to
     nothing; constants satisfy weak Cousin exactly when open-closed."""
@@ -410,31 +389,15 @@ def criterion_discreteness(seed=DEFAULT_SEED) -> dict:
         f = filt.constant_filtration(SPEC_Z, Z)
         if filt.weak_cousin(f).holds != spec.is_open_closed(Z)[0]:
             failures.append((str(Z), "constant-mismatch"))
-    return {
-        "ok": not failures,
-        "failures": failures[:5],
-    }
-
-
-ACCEPTANCE = {
-    "classification-round-trip": criterion_classification,
-    "weak-cousin-necessity": criterion_cousin_necessity,
-    "weak-cousin-sufficiency": criterion_cousin_sufficiency,
-    "engine-oracle-agreement": criterion_oracle_agreement,
-    "generator-reduction": criterion_generator_reduction,
-    "top-index": criterion_top_index,
-    "duality": criterion_duality,
-    "dual-filtration": criterion_dual_filtration,
-    "discreteness": criterion_discreteness,
-}
+    return failures, {}
 
 
 # ---------------------------------------------------------------------------
 # module-invariant suites (the remaining library properties)
 
 
-@_timed("spectrum")
-def suite_spectrum(seed=DEFAULT_SEED) -> dict:
+@_timed("spectrum", INVARIANTS)
+def suite_spectrum(seed):
     rng = rng_from_seed(seed + 21)
     failures = []
     for k in range(60):
@@ -457,7 +420,7 @@ def suite_spectrum(seed=DEFAULT_SEED) -> dict:
             ok, _ = spec.validate_codim_fn(d)
             if ok and not _catenary_consistent(P, d):
                 failures.append((k, "catenary"))
-    return {"ok": not failures, "failures": failures[:5]}
+    return failures, {}
 
 
 def _is_union_of(points, comps) -> bool:
@@ -538,8 +501,8 @@ def _catenary_consistent(P: FinPoset, d) -> bool:
     return True
 
 
-@_timed("zmodules")
-def suite_zmodules(seed=DEFAULT_SEED) -> dict:
+@_timed("zmodules", INVARIANTS)
+def suite_zmodules(seed):
     from .zmodules import matmul, smith_normal_form, support
 
     rng = rng_from_seed(seed + 33)
@@ -588,11 +551,11 @@ def suite_zmodules(seed=DEFAULT_SEED) -> dict:
         _, ext = hom_ext_tables(ElementaryModule.cyclic(a), ElementaryModule.free(1))
         if ext != ElementaryModule.cyclic(a):
             failures.append((a, "ext-into-Z"))
-    return {"ok": not failures, "failures": failures[:5]}
+    return failures, {}
 
 
-@_timed("filtration")
-def suite_filtration(seed=DEFAULT_SEED) -> dict:
+@_timed("filtration", INVARIANTS)
+def suite_filtration(seed):
     rng = rng_from_seed(seed + 47)
     failures = []
     codim = duality.DUALIZING.codim
@@ -637,7 +600,7 @@ def suite_filtration(seed=DEFAULT_SEED) -> dict:
             brute = _brute_force_census(P, window)
             if {str(f.to_json()) for f in fast} != {str(f.to_json()) for f in brute}:
                 failures.append((repr(P), window, "census-mismatch"))
-    return {"ok": not failures, "failures": failures[:5]}
+    return failures, {}
 
 
 def _brute_force_census(P: FinPoset, window):
@@ -671,8 +634,8 @@ def _brute_force_census(P: FinPoset, window):
     return list(out.values())
 
 
-@_timed("truncation")
-def suite_truncation(seed=DEFAULT_SEED) -> dict:
+@_timed("truncation", INVARIANTS)
+def suite_truncation(seed):
     rng = rng_from_seed(seed + 61)
     census = _census_z()
     failures = []
@@ -726,7 +689,7 @@ def suite_truncation(seed=DEFAULT_SEED) -> dict:
             failures.append((k, m, "radical"))
         if any(rule != chains for pattern in patterns for rule, chains in pattern):
             failures.append((k, m, "chain-route"))
-    return {"ok": not failures, "failures": failures[:5]}
+    return failures, {}
 
 
 def _radical(m: int) -> int:
@@ -766,8 +729,8 @@ def _localized_in_aisle(f, X: FormalObject, q) -> bool:
     return True
 
 
-@_timed("orthogonality")
-def suite_orthogonality(seed=DEFAULT_SEED) -> dict:
+@_timed("orthogonality", INVARIANTS)
+def suite_orthogonality(seed):
     """Generator orthogonality agrees with the torsion-vanishing
     description of the co-aisle (the two faces of the classification)."""
     rng = rng_from_seed(seed + 77)
@@ -800,17 +763,10 @@ def suite_orthogonality(seed=DEFAULT_SEED) -> dict:
             via_torsion = derived.in_coaisle(f, X)
             if via_tables != via_torsion:
                 failures.append((str(f), b, via_tables, via_torsion))
-    return {"ok": not failures, "failures": failures[:5]}
+    return failures, {}
 
 
-SUITES = {
-    **ACCEPTANCE,
-    "spectrum": suite_spectrum,
-    "zmodules": suite_zmodules,
-    "filtration": suite_filtration,
-    "truncation": suite_truncation,
-    "orthogonality": suite_orthogonality,
-}
+SUITES = {**ACCEPTANCE, **INVARIANTS}
 
 ALIASES = {"oracle": "engine-oracle-agreement"}
 

@@ -52,10 +52,10 @@ def test_truncation_memo_lives_for_one_criterion():
     assert derived.tau_single.cache_info().currsize > 0
     seen = []
 
-    @suites._timed("next-criterion")
-    def next_criterion():
+    @suites._timed("next-criterion", {})
+    def next_criterion(seed):
         seen.append(derived.tau_single.cache_info().currsize)
-        return {}
+        return [], {}
 
     next_criterion()
     assert seen == [0]
@@ -113,8 +113,9 @@ def test_criterion_4_catches_a_doubled_pruefer_multiplicity(monkeypatch):
         return g, r1 + r1
 
     monkeypatch.setattr(derived, "gamma_and_r1", doubled)
+    monkeypatch.setattr(suites, "SUFFICIENCY_COMPLEXES", 0)
     try:
-        report = suites.criterion_oracle_agreement(suites.DEFAULT_SEED, n_complexes=0)
+        report = suites.criterion_oracle_agreement(suites.DEFAULT_SEED)
         assert not report["ok"]
         assert report["failures"] and all(f[-1] == "tau-witness" for f in report["failures"])
         assert suites.criterion_cousin_necessity(suites.DEFAULT_SEED)["ok"]
@@ -142,8 +143,9 @@ def test_criterion_4_catches_pruefer_kept_at_the_cut(monkeypatch):
         return out
 
     monkeypatch.setattr(derived, "torsion_quotient", keeps_pruefer)
+    monkeypatch.setattr(suites, "SUFFICIENCY_COMPLEXES", 0)
     try:
-        report = suites.criterion_oracle_agreement(suites.DEFAULT_SEED, n_complexes=0)
+        report = suites.criterion_oracle_agreement(suites.DEFAULT_SEED)
         assert not report["ok"]
         assert report["failures"] and all(f[-1] == "tau-nonfg" for f in report["failures"])
     finally:
@@ -169,9 +171,14 @@ def test_criterion_5_catches_a_misplaced_ext_degree(monkeypatch):
         return True
 
     monkeypatch.setattr(derived, "stalk_maps_vanish", misplaced)
-    # and so does the radical-invariance check of the truncation suite
+    # and so do the radical-invariance check of the truncation suite and
+    # Cohen-Macaulay membership, whose Hom route reads the stalk rule and
+    # then disagrees with its supports route
     for suite in (suites.criterion_generator_reduction, suites.suite_truncation):
         assert not suite(suites.DEFAULT_SEED)["ok"]
+    report = suites.criterion_duality(suites.DEFAULT_SEED)
+    assert not report["ok"]
+    assert [f[0] for f in report["failures"]] == ["cm-membership"] * len(report["failures"])
 
 
 def test_criterion_6_top_index():

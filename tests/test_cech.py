@@ -12,7 +12,6 @@ from tstruct.cech import (
     cech_model,
     check_object,
     clear_caches,
-    cone_of_augmentation,
     fingerprints,
     formal_object_model,
     predicted_fingerprints,
@@ -575,11 +574,6 @@ def test_clear_caches_empties_every_unbounded_cache():
     assert {name: c.cache_info().currsize for name, c in unbounded.items()} == dict.fromkeys(
         unbounded, 0
     )
-
-
-def test_cone_of_augmentation_requires_unit():
-    with pytest.raises(ValueError):
-        cone_of_augmentation(FreeComplex(0, ((zf(2),),), ()))
 
 
 # -- fingerprints on random formal objects ------------------------------------

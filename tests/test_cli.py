@@ -95,6 +95,21 @@ def test_census_count_matches_library(files, capsys):
     assert len(out["filtrations"]) == 5
 
 
+def test_census_round_trips_through_check_cousin(files, capsys):
+    code, out = run(capsys, "census", "--window", "0..1", "--universe", "2,3")
+    assert code == 0 and out["count"] == len(out["filtrations"]) > 0
+    for k, f in enumerate(out["filtrations"]):
+        code, rep = run(capsys, "check-cousin", "-f", files(f"f{k}.json", f))
+        assert code == 0 and rep["weak"] is True
+
+
+@pytest.mark.parametrize("universe", ["0", "2,0", "a", ""])
+def test_bad_universe_is_usage_error(capsys, universe):
+    assert main(["census", "--window", "0..1", "--universe", universe]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: bad --universe ")
+
+
 def test_member(files, capsys):
     f = files("f.json", REPEATED_LEVEL)
     x = files("x.json", Z_STALK)
@@ -155,6 +170,13 @@ def test_usage_errors(files, capsys, tmp_path):
     assert main(["nope"]) == 2
 
 
+def test_bad_seed_variable_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("TSTRUCT_SEED", "abc")
+    assert main(["verify", "--suite", "top-index", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "TSTRUCT_SEED" in captured.err
+
+
 def run_process(*argv):
     """The CLI in a fresh interpreter, so an escaping exception shows as a
     traceback on stderr."""
@@ -164,6 +186,27 @@ def run_process(*argv):
         [sys.executable, "-m", "tstruct.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+# a nesting depth the decoder accepts but ``jsonio._decode`` does not
+BELOW_RECURSION_LIMIT = sys.getrecursionlimit() - 100
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("[" * 100_000, ("check-cousin", "-f", "P")),
+        ('{"a":' * BELOW_RECURSION_LIMIT + "1" + "}" * BELOW_RECURSION_LIMIT,
+         ("truncate", "-f", "P", "-x", "P")),
+    ],
+    ids=["array-100000", "object-below-recursion-limit"],
+)
+def test_deeply_nested_json_is_usage_error(tmp_path, text, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    proc = run_process(*[str(path) if a == "P" else a for a in argv])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: bad filtration payload: malformed JSON: nested too deeply\n"
 
 
 def _module(atoms):
@@ -287,7 +330,7 @@ def test_codim_rejected_for_spec_z(files, capsys, tmp_path, argv):
 
 
 def test_bigint_roundtrip():
-    blob = dumps({"n": 2**80}, schema=False)
+    blob = dumps({"n": 2**80})
     assert json.loads(blob)["n"] == str(2**80)
     assert loads(blob)["n"] == 2**80
 

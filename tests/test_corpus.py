@@ -1,7 +1,5 @@
 """The random free complex generator against its reference construction."""
 
-import pytest
-
 from tstruct.corpus import (
     DEFAULT_PRIMES,
     DEFAULT_SEED,
@@ -13,8 +11,7 @@ from tstruct.corpus import (
 from tstruct.zmodules import FreeComplex, direct_sum, matmul
 
 
-def reference_free_complex(rng, rejections, max_terms=6, max_rank=3, max_entry=20,
-                           primes=DEFAULT_PRIMES, max_exp=3):
+def reference_free_complex(rng, rejections):
     """The generator built from validated pieces: stalks and two-term
     resolutions as complexes, left-folded with ``direct_sum``, then
     disguised by unimodular changes of basis.  ``rejections`` counts
@@ -23,19 +20,19 @@ def reference_free_complex(rng, rejections, max_terms=6, max_rank=3, max_entry=2
     lo, hi = DEGREE_WINDOW
     while True:
         pieces = []
-        for _ in range(rng.randint(1, max_terms // 2)):
+        for _ in range(rng.randint(1, 3)):
             d = rng.randint(lo + 1, hi)
             if rng.random() < 0.4:
                 pieces.append(FreeComplex.stalk_free(rng.randint(1, 2), d))
             else:
-                p = rng.choice(primes)
-                e = rng.randint(1, max_exp)
+                p = rng.choice(DEFAULT_PRIMES)
+                e = rng.randint(1, 3)
                 pieces.append(FreeComplex.cyclic_resolution(p**e, d))
         X = FreeComplex.zero()
         for piece in pieces:
             X = direct_sum(X, piece)
         ranks = X.ranks
-        if len(ranks) > max_terms or any(r > max_rank for r in ranks):
+        if len(ranks) > 6 or any(r > 3 for r in ranks):
             rejections["ranks"] += 1
             continue
         us = []
@@ -48,27 +45,18 @@ def reference_free_complex(rng, rejections, max_terms=6, max_rank=3, max_entry=2
             if ranks[k] and ranks[k + 1]:
                 M = matmul(matmul(us[k + 1][0], M), us[k][1])
             diffs.append(tuple(tuple(row) for row in M))
-        if any(abs(x) > max_entry for M in diffs for row in M for x in row):
+        if any(abs(x) > 20 for M in diffs for row in M for x in row):
             rejections["entries"] += 1
             continue
         return FreeComplex.free(X.min_degree, ranks, tuple(diffs))
 
 
-@pytest.mark.parametrize(
-    "seeds, draws, params",
-    [
-        ([DEFAULT_SEED, *range(200)], 50, {}),
-        (range(40), 10, dict(max_terms=4, max_rank=2, max_entry=9, primes=(2, 7), max_exp=2)),
-    ],
-)
-def test_draws_match_the_direct_sum_construction(seeds, draws, params):
+def test_draws_match_the_direct_sum_construction():
     rejections = {"ranks": 0, "entries": 0}
-    for seed in seeds:
+    for seed in [DEFAULT_SEED, *range(200)]:
         rng, ref = rng_from_seed(seed), rng_from_seed(seed)
-        for _ in range(draws):
-            assert random_free_complex(rng, **params) == reference_free_complex(
-                ref, rejections, **params
-            )
+        for _ in range(50):
+            assert random_free_complex(rng) == reference_free_complex(ref, rejections)
             assert rng.getstate() == ref.getstate()
     # both refusals happen, so both are compared
     assert rejections["ranks"] > 0 and rejections["entries"] > 0
@@ -88,19 +76,3 @@ def test_one_complex_built_per_draw(monkeypatch):
     assert len(built) == len(draws)
     assert all(a is b for a, b in zip(built, draws))
 
-
-@pytest.mark.parametrize(
-    "kwargs, name",
-    [
-        ({"max_rank": 0}, "max_rank"),
-        ({"max_terms": 1}, "max_terms"),
-        ({"max_exp": 0}, "max_exp"),
-        ({"primes": ()}, "primes"),
-    ],
-)
-def test_degenerate_parameters_are_refused_before_any_draw(kwargs, name):
-    rng = rng_from_seed(1)
-    state = rng.getstate()
-    with pytest.raises(ValueError, match=name):
-        random_free_complex(rng, **kwargs)
-    assert rng.getstate() == state

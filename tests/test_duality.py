@@ -104,9 +104,9 @@ def test_dual_filtration_validation():
     codim = DUALIZING.codim
     canonical = canonical_filtration(SPEC_Z)
     assert dual_filtration(canonical, codim) == cm_filtration(codim)
-    assert dual_filtration_validate(canonical, trials=40).ok
+    assert dual_filtration_validate(canonical).ok
     f = from_values(SPEC_Z, {1: zf(2)}, W, E)
-    assert dual_filtration_validate(f, trials=40).ok
+    assert dual_filtration_validate(f).ok
     # the transported verdicts really swing together on a specific failure:
     X = FormalObject.cyclic_stalk(2, 1)
     assert not in_coaisle(f, X)

@@ -49,6 +49,16 @@ def test_contains_rejects_non_points(bad):
         zpoint(bad)
 
 
+def test_the_generic_point_is_no_subset_prime():
+    # a set of maximal ideals holding only the generic point would be
+    # nonempty yet contain no point
+    for build in (ZSubset.finite, ZSubset.cofinite):
+        with pytest.raises(ValueError, match="got 0"):
+            build([0])
+        with pytest.raises(ValueError, match="got 0"):
+            build([2, 0])
+
+
 def test_equal_subsets_hash_equal_however_built():
     # the hash is computed once per value, from the canonical data only
     two_three = ZSubset.finite([3, 2])

@@ -40,10 +40,10 @@ differentials:
 * a truncation step is checked atom by atom: the truncation functors
   commute with direct sums, so the lower and upper rows of one copy of
   each atom (free, localized, ``Z/p^e``, Pruefer) are observed once per
-  atom, level, side of the cut, parity of the stalk's degree and set of
-  primes (a pass-through atom above the cut once per atom, side, parity
-  and primes), and added into the step's rows with the stalk's even
-  shift, m times over for m copies;
+  atom, level, side of the cut and set of primes (a pass-through atom
+  above the cut once per atom, side and primes), on blocks in degree 0,
+  and added into the step's rows shifted to the stalk's degree, m times
+  over for m copies;
 * a claim's predicted rows are computed once per stalk module and set
   of primes and placed at the stalk's degree.
 
@@ -550,53 +550,46 @@ def _quotient_module(Z: ZSubset, E: ElementaryModule) -> ElementaryModule:
     return out
 
 
-def _tau_stalk_models(E: ElementaryModule, Z: ZSubset, side: int, d: int):
-    """The lower and upper blocks of the stalk E in degree d, which lies
-    at (``side`` 0) or above (1) the cut of a one-level truncation at Z:
-    a stalk at the cut splits off its module-level torsion, and a higher
-    stalk passes through (Z is not read).  A stalk below the cut has no
-    built models: its stable Koszul tensor and localization cone are
-    observed by Kuenneth (``_tau_atom_rows``)."""
-    if side == 0:
-        return (
-            formal_object_model(FormalObject.stalk(_gamma_module(Z, E), d)),
-            formal_object_model(FormalObject.stalk(_quotient_module(Z, E), d)),
-        )
-    return (), formal_object_model(FormalObject.stalk(E, d))
-
-
 def _atoms(E: ElementaryModule):
-    """The atoms of E as ``(unit atom, multiplicity)`` pairs, the unit
-    atom one copy of each: free, each localized set, each ``(p, e)`` and
-    each Pruefer set."""
+    """The atoms of E as ``(key, multiplicity)`` pairs, one key per unit
+    atom (one copy): ``(make, *args)`` names the module ``make(*args)``,
+    free, each localized set, each ``(p, e)`` and each Pruefer set, and is
+    hashed without building it."""
     if E.free_rank:
-        yield ElementaryModule.free(1), E.free_rank
+        yield (ElementaryModule.free, 1), E.free_rank
     for s, r in E.localized:
-        yield ElementaryModule.localized_free(s, 1), r
+        yield (ElementaryModule.localized_free, s, 1), r
     for p, e, m in E.torsion:
-        yield ElementaryModule.cyclic_torsion(p, e), m
+        yield (ElementaryModule.cyclic_torsion, p, e), m
     for s, m in E.prufer:
-        yield ElementaryModule.prufer_sum(s), m
+        yield (ElementaryModule.prufer_sum, s), m
 
 
 @lru_cache(maxsize=None)
-def _tau_atom_rows(atom: ElementaryModule, Z, side: int, parity: int, primes: tuple):
+def _tau_atom_rows(atom_key: tuple, Z, side: int, primes: tuple):
     """The observed rows of the lower and upper models of one unit atom
-    in degree ``parity`` at sorted primes, as ``(ranks, rows)`` item
-    tuples per vertex.  Below the cut (``side`` -1) they are the rows of
-    the atom's model tensored with ``cech_model(Z)`` and with
-    ``rq_model_complex(Z)``, read by Kuenneth from the factors' rows
-    (``_tensor_rows``); at or above it, the observed rows of the built
-    models of ``_tau_stalk_models``.  A pass-through atom (``side`` 1) is
-    keyed with Z None: its models do not depend on it."""
+    (``_atoms``) in degree 0 at sorted primes, as ``(ranks, rows)`` item
+    tuples per vertex.  Rows of a block do not depend on its start
+    degree, so they hold in every degree after a shift.  Below the cut
+    (``side`` -1) they are the rows of the atom's model tensored with
+    ``cech_model(Z)`` and with ``rq_model_complex(Z)``, read by Kuenneth
+    from the factors' rows (``_tensor_rows``).  At the cut (``side`` 0)
+    the atom splits off its module-level Z-torsion, and above it (1) it
+    passes through: its models are keyed with Z None, as they do not
+    depend on it."""
+    atom = atom_key[0](*atom_key[1:])
     if side < 0:
-        piece = formal_object_model(FormalObject.stalk(atom, parity))
+        piece = formal_object_model(FormalObject.stalk(atom))
         tables = (
             _tensor_rows(piece, cech_model(Z), primes),
             _tensor_rows(piece, rq_model_complex(Z), primes),
         )
     else:
-        tables = (_observe(W, primes) for W in _tau_stalk_models(atom, Z, side, parity))
+        if side == 0:
+            parts = (_gamma_module(Z, atom), _quotient_module(Z, atom))
+        else:
+            parts = (ElementaryModule.zero(), atom)
+        tables = (_observe(formal_object_model(FormalObject.stalk(E)), primes) for E in parts)
     return tuple(tuple(tuple(table.items()) for table in pair) for pair in tables)
 
 
@@ -619,17 +612,16 @@ def _tau_step_rows(i: int, Z: ZSubset, F: FormalObject, primes: tuple) -> tuple:
     models of the one-level truncation of F at (i, Z) show at sorted
     primes.  The models are those of a split model of F, atom by atom
     (``_tau_atom_rows``).  Homology is additive, so each unit atom's
-    rows are observed once, on blocks in the degree of its parity, and
-    added m times over with its stalk's even shift."""
+    rows are observed once, on blocks in degree 0, and added m times over
+    with its stalk's degree as the shift."""
     lower, upper = ({}, {}), ({}, {})
     for d, E in F.graded:
-        parity = d % 2
         side = (d > i) - (d < i)
         level = None if side == 1 else Z
-        for atom, m in _atoms(E):
-            low, up = _tau_atom_rows(atom, level, side, parity, primes)
-            _add_scaled(lower, *low, d - parity, m)
-            _add_scaled(upper, *up, d - parity, m)
+        for key, m in _atoms(E):
+            low, up = _tau_atom_rows(key, level, side, primes)
+            _add_scaled(lower, *low, d, m)
+            _add_scaled(upper, *up, d, m)
     return lower, upper
 
 

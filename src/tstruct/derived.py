@@ -291,19 +291,27 @@ def tau_single(i: int, Z: ZSubset, X: FormalObject) -> TruncationResult:
     >>> str(lo), str(up)
     ('{1: Z(2^oo)}', '{0: Z[1/2]}')
     """
-    lower_parts = []
-    upper_parts = []
+    # X is canonical, so both vertices are built canonical: one entry per
+    # degree, ascending, no zero module, and only r1 of the stalk in
+    # degree d - 1 meets g of the stalk in degree d
+    lower, upper = [], []
     for d, E in X.graded:
+        if d > i:
+            upper.append((d, E))
+            continue
         g, r1 = gamma_and_r1(Z, E)
-        if d + 1 <= i:
-            lower_parts += [(d, g), (d + 1, r1)]
-            upper_parts.append((d, q_localize(Z, E)))
-        elif d <= i:
-            lower_parts.append((d, g))
-            upper_parts.append((d, torsion_quotient(Z, E)))
-        else:
-            upper_parts.append((d, E))
-    return TruncationResult(FormalObject(tuple(lower_parts)), FormalObject(tuple(upper_parts)))
+        if lower and lower[-1][0] == d:
+            g = lower.pop()[1] + g
+        if not g.is_zero:
+            lower.append((d, g))
+        rest = q_localize(Z, E) if d < i else torsion_quotient(Z, E)
+        if not rest.is_zero:
+            upper.append((d, rest))
+        if d < i and not r1.is_zero:
+            lower.append((d + 1, r1))
+    return TruncationResult(
+        FormalObject._canonical(tuple(lower)), FormalObject._canonical(tuple(upper))
+    )
 
 
 def tau_filtration(filtration: SpFiltration, X: FormalObject) -> TruncationResult:

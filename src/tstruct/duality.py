@@ -204,11 +204,7 @@ def kashiwara2_predicate(Z: ZSubset, X: FormalObject, n: int):
 @dataclass(frozen=True)
 class DualValidationReport:
     ok: bool
-    trials: int
     mismatches: tuple
-
-    def __bool__(self):
-        return self.ok
 
 
 DUAL_TRIALS = 40
@@ -241,4 +237,4 @@ def dual_filtration_validate(filtration: SpFiltration, seed: int = 20251) -> Dua
         right = in_aisle(dual, dualize(X))
         if left != right:
             mism.append((str(X), left, right))
-    return DualValidationReport(not mism, DUAL_TRIALS, tuple(mism))
+    return DualValidationReport(not mism, tuple(mism))

@@ -37,6 +37,7 @@ from .zmodules import (
 
 TWO_CHAIN = FinPoset(["p", "m"], [("p", "m")])
 POSET_WINDOW = (-2, 2)
+POSET_POINTS = 5
 Z_WINDOW = (-3, 3)
 ORTHO_WINDOW = (-4, 4)
 SUFFICIENCY_COMPLEXES = 500
@@ -433,8 +434,8 @@ def _is_union_of(points, comps) -> bool:
     return not rest
 
 
-def _random_poset(rng, max_points=5) -> FinPoset:
-    n = rng.randint(0, max_points)
+def _random_poset(rng) -> FinPoset:
+    n = rng.randint(0, POSET_POINTS)
     names = [f"x{i}" for i in range(n)]
     covers = []
     for i in range(n):

@@ -542,6 +542,30 @@ def test_stalk_summed_rows_match_observed_step_models():
     assert steps > 1000
 
 
+@pytest.mark.parametrize("side", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "atom",
+    [EM.free(1), EM.localized_free(zf(3), 1), EM.cyclic_torsion(2, 2), EM.prufer_sum(zf(2, 3))],
+    ids=["free", "localized", "torsion", "pruefer"],
+)
+def test_step_rows_are_keyed_without_parity(side, atom):
+    # one step on the stalk in degree 0 and one on it in degree 1, at the
+    # same level, side of the cut and primes: the second reads the first
+    # one's atom rows, moved up one degree
+    clear_caches()
+    Z, primes = zf(2), (2, 3)
+    first = cech._tau_step_rows(-side, Z, FormalObject.stalk(atom, 0), primes)
+    before = cech._tau_atom_rows.cache_info()
+    second = cech._tau_step_rows(1 - side, Z, FormalObject.stalk(atom, 1), primes)
+    after = cech._tau_atom_rows.cache_info()
+    assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+    assert any(rows for _, rows in first)
+    assert second == tuple(
+        ({d + 1: r for d, r in ranks.items()}, {(p, d + 1): row for (p, d), row in rows.items()})
+        for ranks, rows in first
+    )
+
+
 def test_clear_caches_empties_the_block_product_cache():
     # the product's cache belongs to zmodules; the oracle's clear empties it too
     for clear in (zmodules.clear_caches, clear_caches):

@@ -1,7 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tstruct.corpus import random_formal_object, random_subset_z, rng_from_seed
+from tstruct.corpus import (
+    random_formal_object,
+    random_free_complex,
+    random_subset_z,
+    rng_from_seed,
+)
 from tstruct.derived import (
     FormalObject,
     from_free_complex,
@@ -16,6 +21,7 @@ from tstruct.derived import (
     stalk_maps_vanish,
     tau_filtration,
     tau_single,
+    torsion_quotient,
     cousin_failure_witness,
 )
 from tstruct.elementary import ElementaryModule as EM
@@ -383,6 +389,44 @@ def test_memoized_steps_and_canonical_constructor_match_checked(seed):
     assert X + zero is X and zero + X is X
     Y = random_formal_object(rng)
     assert X + Y == FormalObject(X.graded + Y.graded)
+
+
+def _tau_single_reference(i, Z, X):
+    """The one-level truncation assembled part by part and merged by the
+    public constructor."""
+    lower, upper = [], []
+    for d, M in X.graded:
+        g, r1 = gamma_and_r1(Z, M)
+        if d + 1 <= i:
+            lower += [(d, g), (d + 1, r1)]
+            upper.append((d, q_localize(Z, M)))
+        elif d <= i:
+            lower.append((d, g))
+            upper.append((d, torsion_quotient(Z, M)))
+        else:
+            upper.append((d, M))
+    return FormalObject(tuple(lower)), FormalObject(tuple(upper))
+
+
+TAU_LEVELS = (E, zf(2), zf(3, 5), ZSubset.cofinite([2]), ZSubset.cofinite([]), W)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_tau_single_matches_merged_reference(seed):
+    # formal objects with non-f.g. atoms and homology of free complexes,
+    # at the empty, a finite, a cofinite, the all-maximals and the whole
+    # level, cut below, at and above each degree
+    tau_single.cache_clear()
+    rng = rng_from_seed(seed)
+    for X in (random_formal_object(rng), from_free_complex(random_free_complex(rng))):
+        cuts = {d + k for d in X.degrees() for k in (-1, 0, 1)} or {0}
+        for Z in TAU_LEVELS:
+            for i in sorted(cuts):
+                got = tau_single(i, Z, X)
+                assert (got.lower, got.upper) == _tau_single_reference(i, Z, X)
+                for v in got:
+                    assert FormalObject(v.graded).graded == v.graded
 
 
 def test_truncation_memo_is_bounded():

@@ -35,15 +35,19 @@ differentials:
   many blocks and primes share it, and each prime reads its p-part;
 * a tensor A (x) B is observed without being built: the p-reduction of
   a product is the product of the factors' p-reductions, so the
-  Kuenneth formula gives its rows from the rows of the factors' blocks
-  (``_tensor_rows``), and its rational ranks are products of theirs;
-* a truncation step is checked atom by atom: the truncation functors
-  commute with direct sums, so the lower and upper rows of one copy of
-  each atom (free, localized, ``Z/p^e``, Pruefer) are observed once per
-  atom, level, side of the cut and set of primes (a pass-through atom
-  above the cut once per atom, side and primes), on blocks in degree 0,
-  and added into the step's rows shifted to the stalk's degree, m times
-  over for m copies;
+  Kuenneth formula gives its rows from the factors' rows
+  (``_kuenneth``), and its rational ranks are products of theirs;
+* a truncation step is checked only where it acts.  A stalk above the
+  cut is in the co-aisle already and passes to the upper vertex
+  untouched, so the claim's stalks there are compared with the input's
+  by identity, and a step whose cut lies below its whole input has the
+  one claim ``(0, input)``, accepted as it stands.  At and below the cut
+  the truncation functors commute with direct sums, so a vertex's rows
+  are sums of unit atoms' rows (free, localized, ``Z/p^e``, Pruefer),
+  each observed once per atom and set of primes on a block in degree 0
+  and added shifted to the stalk's degree, m times over for m copies;
+  below the cut the summed rows meet the level's two models in one
+  Kuenneth product per vertex;
 * a claim's predicted rows are computed once per stalk module and set
   of primes and placed at the stalk's degree.
 
@@ -55,13 +59,14 @@ level's model: ``tensor`` distributes the one Koszul product
 ``zmodules.tensor``, built once per shape with the left factor in the
 degree of its parity, over the blocks of models.  That is the only
 tensor the oracle builds.  A truncation along a filtration is observed
-step by step, each step atom by atom; below the cut an atom's models
-are its tensors with the level's stable Koszul complex and with its
-localization cone, observed by Kuenneth.  A constant filtration is one
-step whose cut lies above every degree of the object.  The chain-level
-route of the generator reduction reads Hom(X, Y) = X^v (x) Y by
-Kuenneth too.  Every row still comes from Smith normal forms of chain
-models, never from the engine's atom rules.
+step by step: below the cut the stalks' summed rows are tensored, by
+Kuenneth, with the level's stable Koszul complex and with its
+localization cone; at the cut a stalk splits into its module-level
+torsion and the quotient; above the cut it is the input's own stalk.  A
+constant filtration is one step whose cut lies above every degree of
+the object.  The chain-level route of the generator reduction reads
+Hom(X, Y) = X^v (x) Y by Kuenneth too.  Every row still comes from
+Smith normal forms of chain models, never from the engine's atom rules.
 
 An engine answer (a formal object) is checked by predicting the same
 fingerprints in closed form and demanding exact agreement.  Rows keep
@@ -284,40 +289,54 @@ def _add_row(rows: dict, key: tuple, growth: int, exps: tuple) -> None:
 
 def _tensor_rows(A, B, primes: tuple) -> tuple:
     """The ``(ranks, rows)`` dicts of the model A (x) B at sorted primes,
-    read off the rows of the factors' blocks without building the
-    product.
-
-    Dropping the p-divisible summands commutes with (x), so the
-    p-reduction of a product of blocks is the product of their
-    p-reductions, a tensor of bounded free Z-complexes, and the Kuenneth
-    formula (Weibel, *An Introduction to Homological Algebra*, 3.6.3)
-    gives its homology: H^n = sum over i + j = n of H^i (x) H^j, plus
-    Tor(H^i, H^j) over i + j = n + 1.  At p, growth counts multiply, a
-    free row carries the other factor's exponents times its growth, and
-    each pair Z/p^a, Z/p^b gives Z/p^min(a, b) in degree i + j and again,
-    from Tor, in degree i + j - 1 (torsion at other primes meets nothing
-    at p).  Over Q rational ranks multiply.
+    read off the rows of the factors without building the product
+    (``_kuenneth`` of their ``_observe`` tables).
 
     >>> Z4 = FreeComplex.cyclic_resolution(4)
     >>> _tensor_rows(Z4, FreeComplex.cyclic_resolution(2), (2,))
     ({}, {(2, 0): (0, ((1, 1),)), (2, -1): (0, ((1, 1),))})
     """
+    return _kuenneth(_observe(A, primes), _by_prime(_observe(B, primes)))
+
+
+def _by_prime(table: tuple) -> tuple:
+    """A ``(ranks, rows)`` table as ``(ranks items, {p: ((d, growth,
+    exponents), ...)})``: its rows grouped by prime, the right factor's
+    form for ``_kuenneth``."""
+    ranks, rows = table
+    grouped: dict = {}
+    for (p, d), (growth, exps) in rows.items():
+        grouped.setdefault(p, []).append((d, growth, exps))
+    return tuple(ranks.items()), {p: tuple(r) for p, r in grouped.items()}
+
+
+def _kuenneth(a: tuple, b: tuple) -> tuple:
+    """The ``(ranks, rows)`` dicts of A (x) B from the table ``a`` of A
+    (``_observe``'s dicts) and the table ``b`` of B grouped by prime
+    (``_by_prime``).
+
+    Dropping the p-divisible summands commutes with (x), so the
+    p-reduction of a product is the product of the p-reductions, a
+    tensor of bounded free Z-complexes, and the Kuenneth formula (Weibel,
+    *An Introduction to Homological Algebra*, 3.6.3) gives its homology:
+    H^n = sum over i + j = n of H^i (x) H^j, plus Tor(H^i, H^j) over
+    i + j = n + 1.  At p, growth counts multiply, a free row carries the
+    other factor's exponents times its growth, and each pair Z/p^a,
+    Z/p^b gives Z/p^min(a, b) in degree i + j and again, from Tor, in
+    degree i + j - 1 (torsion at other primes meets nothing at p).  Over
+    Q rational ranks multiply.  The formula is bilinear, so a table
+    summed over many blocks gives the rows of the summed product.
+    """
+    ranks_a, rows_a = a
+    ranks_b, rows_b = b
     ranks: dict = {}
+    for i, r in ranks_a.items():
+        for j, s in ranks_b:
+            ranks[i + j] = ranks.get(i + j, 0) + r * s
     rows: dict = {}
-    for a in _blocks(A):
-        rational_a = _rational_ranks(a.ranks, a.diffs)
-        for b in _blocks(B):
-            base = a.min_degree + b.min_degree
-            for j, s in _rational_ranks(b.ranks, b.diffs):
-                for i, r in rational_a:
-                    ranks[base + i + j] = ranks.get(base + i + j, 0) + r * s
-            for p in primes:
-                rows_b = _integral_homology_mod(b.labels, b.diffs, p)
-                for i, growth_a, exps_a in _integral_homology_mod(a.labels, a.diffs, p):
-                    for j, growth_b, exps_b in rows_b:
-                        _add_kuenneth_pair(
-                            rows, p, base + i + j, growth_a, exps_a, growth_b, exps_b
-                        )
+    for (p, i), (growth_a, exps_a) in rows_a.items():
+        for j, growth_b, exps_b in rows_b.get(p, ()):
+            _add_kuenneth_pair(rows, p, i + j, growth_a, exps_a, growth_b, exps_b)
     return ranks, rows
 
 
@@ -426,7 +445,10 @@ class ValidationReport:
     per differing row, sorted by (prime, degree).  ``kind`` is
     ``"rational-rank"`` (prime 0, the generic point) or ``"fingerprint"``;
     ``got`` is what the chain model shows, ``want`` what the claim
-    predicts."""
+    predicts.  A truncation step whose rows all agree but whose upper
+    vertex changes a stalk above the cut has one ``"stalk"`` entry
+    (prime 0) at the lowest such degree: ``got`` the input's stalk there,
+    ``want`` the claim's."""
 
     ok: bool
     mismatches: tuple
@@ -566,31 +588,22 @@ def _atoms(E: ElementaryModule):
 
 
 @lru_cache(maxsize=None)
-def _tau_atom_rows(atom_key: tuple, Z, side: int, primes: tuple):
-    """The observed rows of the lower and upper models of one unit atom
-    (``_atoms``) in degree 0 at sorted primes, as ``(ranks, rows)`` item
-    tuples per vertex.  Rows of a block do not depend on its start
-    degree, so they hold in every degree after a shift.  Below the cut
-    (``side`` -1) they are the rows of the atom's model tensored with
-    ``cech_model(Z)`` and with ``rq_model_complex(Z)``, read by Kuenneth
-    from the factors' rows (``_tensor_rows``).  At the cut (``side`` 0)
-    the atom splits off its module-level Z-torsion, and above it (1) it
-    passes through: its models are keyed with Z None, as they do not
-    depend on it."""
+def _atom_rows(atom_key: tuple, primes: tuple) -> tuple:
+    """The observed rows of one unit atom's own model (``_atoms``) in
+    degree 0 at sorted primes, as ``(ranks, rows)`` item tuples.  Rows of
+    a block do not depend on its start degree, so they hold in every
+    degree after a shift; the atom is built only on a miss."""
     atom = atom_key[0](*atom_key[1:])
-    if side < 0:
-        piece = formal_object_model(FormalObject.stalk(atom))
-        tables = (
-            _tensor_rows(piece, cech_model(Z), primes),
-            _tensor_rows(piece, rq_model_complex(Z), primes),
-        )
-    else:
-        if side == 0:
-            parts = (_gamma_module(Z, atom), _quotient_module(Z, atom))
-        else:
-            parts = (ElementaryModule.zero(), atom)
-        tables = (_observe(formal_object_model(FormalObject.stalk(E)), primes) for E in parts)
-    return tuple(tuple(tuple(table.items()) for table in pair) for pair in tables)
+    ranks, rows = _observe(formal_object_model(FormalObject.stalk(atom)), primes)
+    return tuple(ranks.items()), tuple(rows.items())
+
+
+@lru_cache(maxsize=None)
+def _level_rows(Z: ZSubset, primes: tuple) -> tuple:
+    """The observed rows of ``cech_model(Z)`` and of ``rq_model_complex(Z)``
+    at sorted primes, each grouped by prime (``_by_prime``), the right
+    factors of a step's Kuenneth products below the cut."""
+    return tuple(_by_prime(_observe(build(Z), primes)) for build in (cech_model, rq_model_complex))
 
 
 def _add_scaled(observed: tuple, ranks: tuple, rows: tuple, shift: int, m: int) -> None:
@@ -607,32 +620,88 @@ def _add_scaled(observed: tuple, ranks: tuple, rows: tuple, shift: int, m: int) 
         _add_row(acc_rows, (p, d + shift), m * growth, exps)
 
 
+def _add_atoms(observed: tuple, E: ElementaryModule, d: int, primes: tuple) -> None:
+    """Add the rows of the stalk E in degree d into the ``(ranks, rows)``
+    dicts of ``observed``: each unit atom's rows, m times over for m
+    copies, moved up to d."""
+    for key, m in _atoms(E):
+        _add_scaled(observed, *_atom_rows(key, primes), d, m)
+
+
 def _tau_step_rows(i: int, Z: ZSubset, F: FormalObject, primes: tuple) -> tuple:
     """The ``(ranks, rows)`` dicts, one pair per vertex, that the chain
     models of the one-level truncation of F at (i, Z) show at sorted
-    primes.  The models are those of a split model of F, atom by atom
-    (``_tau_atom_rows``).  Homology is additive, so each unit atom's
-    rows are observed once, on blocks in degree 0, and added m times over
-    with its stalk's degree as the shift."""
-    lower, upper = ({}, {}), ({}, {})
+    primes.  The models are those of a split model of F, and homology is
+    additive, so every row is a sum of unit atoms' rows (``_atom_rows``):
+
+    * below the cut the stalks' rows are summed into one table, whose
+      products with ``cech_model(Z)`` and ``rq_model_complex(Z)`` are the
+      vertices' parts, one table-level ``_kuenneth`` each with the
+      level's rows (``_level_rows``);
+    * at the cut the stalk splits into its module-level Z-torsion
+      (lower) and the quotient (upper);
+    * above the cut each stalk passes to the upper vertex as it is.
+    """
+    below: tuple = ({}, {})
     for d, E in F.graded:
-        side = (d > i) - (d < i)
-        level = None if side == 1 else Z
-        for key, m in _atoms(E):
-            low, up = _tau_atom_rows(key, level, side, primes)
-            _add_scaled(lower, *low, d, m)
-            _add_scaled(upper, *up, d, m)
+        if d >= i:
+            break
+        _add_atoms(below, E, d, primes)
+    if below[0] or below[1]:
+        lower, upper = (_kuenneth(below, table) for table in _level_rows(Z, primes))
+    else:
+        lower, upper = ({}, {}), ({}, {})
+    for d, E in F.graded:
+        if d == i:
+            _add_atoms(lower, _gamma_module(Z, E), i, primes)
+            _add_atoms(upper, _quotient_module(Z, E), i, primes)
+        elif d > i:
+            _add_atoms(upper, E, d, primes)
     return lower, upper
+
+
+def _cut_index(G: FormalObject, i: int) -> int:
+    """The number of stalks of G in degrees <= i."""
+    return next((k for k, (d, _) in enumerate(G.graded) if d > i), len(G.graded))
+
+
+def _step_mismatches(i: int, Z: ZSubset, F: FormalObject, claim, primes: tuple) -> tuple:
+    """The row mismatches of the claimed vertices ``claim`` against the
+    chain models of the step at (i, Z) on F, lower vertex first."""
+    lower, upper = _tau_step_rows(i, Z, F, primes)
+    return (
+        _compare(lower, claim.lower, primes).mismatches
+        + _compare(upper, claim.upper, primes).mismatches
+    )
 
 
 def _check_tau_step(i: int, Z: ZSubset, F: FormalObject, res, primes: tuple) -> ValidationReport:
     """Check a computed one-level truncation ``res`` of F against the
-    chain models, both vertices, at sorted primes."""
-    lower, upper = _tau_step_rows(i, Z, F, primes)
-    return ValidationReport.of(
-        _compare(lower, res.lower, primes).mismatches
-        + _compare(upper, res.upper, primes).mismatches
-    )
+    chain models, both vertices, at sorted primes.
+
+    A stalk in degree d > i is in the co-aisle already (its derived
+    Z-torsion lives in degrees d and d + 1), so it passes to the upper
+    vertex untouched, and the upper vertex's stalks above the cut are
+    compared with the input's by identity.  When they agree, only the
+    parts at or below the cut are observed and predicted: the rest adds
+    the same rows to both sides.  A mismatch there, or stalks that
+    differ, has the whole input observed, so the rows are reported as
+    they are; and when stalks differ while every row agrees, the report
+    holds one ``"stalk"`` entry at the lowest degree where they differ.
+    """
+    k, m = _cut_index(F, i), _cut_index(res.upper, i)
+    above, claimed = F.graded[k:], res.upper.graded[m:]
+    if above == claimed:
+        head = TruncationResult(res.lower, FormalObject._canonical(res.upper.graded[:m]))
+        if not _step_mismatches(i, Z, FormalObject._canonical(F.graded[:k]), head, primes):
+            return _AGREE
+    mism = _step_mismatches(i, Z, F, res, primes)
+    if not mism and above != claimed:
+        got, want = dict(above), dict(claimed)
+        d = min(d for d in got.keys() | want.keys() if got.get(d) != want.get(d))
+        zero = ElementaryModule.zero()
+        mism = (("stalk", 0, d, got.get(d, zero), want.get(d, zero)),)
+    return ValidationReport.of(mism)
 
 
 def validate_tau_filtration(filtration: SpFiltration, F: FormalObject) -> ValidationReport:
@@ -646,6 +715,11 @@ def validate_tau_filtration(filtration: SpFiltration, F: FormalObject) -> Valida
     vertices name, so a prime the engine invents is observed too.  Every
     step's input descends from F along the filtration, so a fresh prime
     is observed when F, the filtration or the step names a cofinite set.
+
+    A step whose input is zero or lies in degrees above its cut leaves
+    the input in the co-aisle: the claim ``(0, input)`` is accepted as it
+    stands, with no primes or rows computed, and any other claim takes
+    the full step check.
 
     A constant filtration at Z is one step whose cut lies above every
     degree of F: its claim is ``(rgamma(Z, F), rq(Z, F))``, checked at
@@ -665,6 +739,9 @@ def validate_tau_filtration(filtration: SpFiltration, F: FormalObject) -> Valida
     for j in range(s, n + 1):
         Z = filtration.value(j)
         step = tau_single(j, Z, current)
+        identity = current.is_zero or current.graded[0][0] > j
+        if identity and step.lower.is_zero and step.upper == current:
+            continue
         pr = _relevant_primes(Z, step.lower, step.upper, *cofinite, known=known)
         mism.extend(_check_tau_step(j, Z, current, step, pr).mismatches)
         current = step.upper
@@ -716,7 +793,8 @@ _CACHES = (
     cech_model,
     rq_model_complex,
     formal_object_model,
-    _tau_atom_rows,
+    _atom_rows,
+    _level_rows,
     _stalk_prediction,
     _integral_homology_mod,
     _reduced_homology,

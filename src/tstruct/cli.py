@@ -343,10 +343,22 @@ def _env_seed() -> int:
         raise UsageError(f"TSTRUCT_SEED must be an integer, got {value!r}")
 
 
+def _join_window(argv) -> list:
+    """``--window a..b`` (or an abbreviation of ``--window``) spelled
+    ``--window=a..b``: argparse takes a value that starts with ``-`` and
+    is not a number, like ``-3..3``, for an option."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        is_window = len(arg) > 2 and "--window".startswith(arg)
+        out.append("--window=" + next(args, "") if is_window else arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_window(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -291,6 +291,9 @@ def tau_single(i: int, Z: ZSubset, X: FormalObject) -> TruncationResult:
     >>> str(lo), str(up)
     ('{1: Z(2^oo)}', '{0: Z[1/2]}')
     """
+    if X.is_zero or X.graded[0][0] > i:
+        # every stalk is above the cut, so X is in the co-aisle
+        return TruncationResult(FormalObject.zero(), X)
     # X is canonical, so both vertices are built canonical: one entry per
     # degree, ascending, no zero module, and only r1 of the stalk in
     # degree d - 1 meets g of the stalk in degree d

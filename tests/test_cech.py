@@ -192,6 +192,91 @@ def test_tau_validation_observes_primes_a_later_step_invents(monkeypatch):
     assert rep.mismatches == (("fingerprint", 7, 5, (0, ()), (0, ((1, 1),))),)
 
 
+def test_tau_validation_checks_a_wrong_identity_step(monkeypatch):
+    # the stalk Z in degree 3 lies above the cut of the first step, whose
+    # claim must be (0, input); a Z/7 in degree 5 added to its upper
+    # vertex takes the full step check
+    f = from_values(SPEC_Z, {0: W, 1: zf(2)}, W, E)
+    X = FormalObject.free_stalk(1, 3)
+    assert validate_tau_filtration(f, X).ok
+    honest = derived.tau_single.__wrapped__
+
+    def invents_seven(i, Z, F):
+        step = honest(i, Z, F)
+        if i == 0:
+            return TruncationResult(step.lower, step.upper + FormalObject.cyclic_stalk(7, 5))
+        return step
+
+    monkeypatch.setattr(cech, "tau_single", invents_seven)
+    rep = validate_tau_filtration(f, X)
+    assert rep.mismatches == (("fingerprint", 7, 5, (0, ()), (0, ((1, 1),))),)
+
+
+def test_tau_validation_compares_stalks_above_the_cut(monkeypatch):
+    # Z[1/2] in degree 2, above the first step's cut, swapped for Z[1/6]
+    # and Z(3^oo) one degree up: the same rational ranks and rows at 2
+    # and 3, but not the stalk that passes through
+    f = from_values(SPEC_Z, {0: W, 1: zf(2)}, W, E)
+    X = FormalObject.free_stalk(1, 0) + FormalObject.stalk(EM.localized_free(zf(2), 1), 2)
+    assert validate_tau_filtration(f, X).ok
+    honest = derived.tau_single.__wrapped__
+    glued = FormalObject(
+        ((2, EM.localized_free(zf(2, 3), 1)), (3, EM.prufer_sum(zf(3))))
+    )
+
+    def swaps_the_localization(i, Z, F):
+        step = honest(i, Z, F)
+        if i == 0:
+            kept = FormalObject(tuple((d, G) for d, G in step.upper.graded if d != 2))
+            return TruncationResult(step.lower, kept + glued)
+        return step
+
+    monkeypatch.setattr(cech, "tau_single", swaps_the_localization)
+    rep = validate_tau_filtration(f, X)
+    assert rep.mismatches == (
+        ("stalk", 0, 2, EM.localized_free(zf(2), 1), EM.localized_free(zf(2, 3), 1)),
+    )
+
+
+def test_tau_validation_reports_whole_rows_when_stalks_above_agree(monkeypatch):
+    # an engine that drops Z at the cut and keeps Z(2^oo) above it: the
+    # stalks above agree, and row (2, 0) is reported with the Pruefer
+    # growth that the stalk above adds to both sides
+    honest = derived.tau_single.__wrapped__
+    X = FormalObject.free_stalk(1, 0) + FormalObject.stalk(EM.prufer_sum(zf(2)), 1)
+
+    def drops_the_cut(i, Z, F):
+        step = honest(i, Z, F)
+        above = FormalObject(tuple((d, G) for d, G in step.upper.graded if d > i))
+        return TruncationResult(step.lower, above)
+
+    f = step_filtration(SPEC_Z, 0, zf(3))
+    assert validate_tau_filtration(f, X).ok
+    monkeypatch.setattr(cech, "tau_single", drops_the_cut)
+    assert validate_tau_filtration(f, X).mismatches == (
+        ("rational-rank", 0, 0, 1, 0),
+        ("fingerprint", 2, 0, (2, ()), (1, ())),
+        ("fingerprint", 3, 0, (1, ()), (0, ())),
+    )
+
+
+def test_identity_steps_do_no_observation(monkeypatch):
+    # Z in degree 3 along the steps -1..4: those at -1, 0, 1 and 2 cut
+    # below it and find no primes; those at 3 and 4 reach it, one call each
+    f = from_values(SPEC_Z, {0: zf(2, 3, 5), 1: zf(2, 3), 2: zf(2), 3: zf(2), 4: zf(2)}, W, E)
+    assert f.determined_interval() == (-1, 4)
+    calls = []
+    honest = cech._relevant_primes
+
+    def counted(*sources, known=()):
+        calls.append(sources[0])
+        return honest(*sources, known=known)
+
+    monkeypatch.setattr(cech, "_relevant_primes", counted)
+    assert validate_tau_filtration(f, FormalObject.free_stalk(1, 3)).ok
+    assert calls == [zf(2), zf(2)]
+
+
 @pytest.mark.parametrize("functor", ["rgamma", "rq"])
 def test_constant_filtration_check_rejects_a_wrong_vertex(monkeypatch, functor):
     # a constant filtration is one step with rgamma below and rq above; a
@@ -542,6 +627,11 @@ def test_stalk_summed_rows_match_observed_step_models():
     assert steps > 1000
 
 
+# a cut and level that put a stalk in degree d below (-1), at (0) or above
+# (1) the cut: three different levels
+_SIDE_STEPS = {-1: (1, zf(2)), 0: (0, W), 1: (-1, zf(3))}
+
+
 @pytest.mark.parametrize("side", [-1, 0, 1])
 @pytest.mark.parametrize(
     "atom",
@@ -549,21 +639,21 @@ def test_stalk_summed_rows_match_observed_step_models():
     ids=["free", "localized", "torsion", "pruefer"],
 )
 def test_step_rows_are_keyed_without_parity(side, atom):
-    # one step on the stalk in degree 0 and one on it in degree 1, at the
-    # same level, side of the cut and primes: the second reads the first
-    # one's atom rows, moved up one degree
+    # one step on the stalk in degree 0 at one side of the cut and level,
+    # one on it in degree 1 at the next side and another level: both read
+    # the rows of the atom's own model, one ``_atom_rows`` entry (at the
+    # cut the whole spectrum takes the atom into the lower vertex whole)
     clear_caches()
-    Z, primes = zf(2), (2, 3)
-    first = cech._tau_step_rows(-side, Z, FormalObject.stalk(atom, 0), primes)
-    before = cech._tau_atom_rows.cache_info()
-    second = cech._tau_step_rows(1 - side, Z, FormalObject.stalk(atom, 1), primes)
-    after = cech._tau_atom_rows.cache_info()
-    assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
-    assert any(rows for _, rows in first)
-    assert second == tuple(
-        ({d + 1: r for d, r in ranks.items()}, {(p, d + 1): row for (p, d), row in rows.items()})
-        for ranks, rows in first
-    )
+    primes = (2, 3)
+    i, Z = _SIDE_STEPS[side]
+    first = cech._tau_step_rows(i, Z, FormalObject.stalk(atom, 0), primes)
+    before = cech._atom_rows.cache_info()
+    i, Z = _SIDE_STEPS[(side + 2) % 3 - 1]
+    second = cech._tau_step_rows(i + 1, Z, FormalObject.stalk(atom, 1), primes)
+    after = cech._atom_rows.cache_info()
+    assert (before.misses, before.currsize) == (1, 1)
+    assert (after.hits, after.currsize) == (before.hits + 1, 1)
+    assert any(rows for _, rows in first) and any(rows for _, rows in second)
 
 
 def test_clear_caches_empties_the_block_product_cache():
@@ -578,7 +668,8 @@ def test_clear_caches_empties_the_block_product_cache():
 def test_clear_caches_empties_every_unbounded_cache():
     # every module-level functools cache without a size bound in the
     # modules the oracle runs on, found the way the benchmark's tracer
-    # finds caches; one step check fills the atom rows and predictions
+    # finds caches; one step check fills the atom and level rows and the
+    # predictions
     clear_caches()
     F = FormalObject.free_stalk(1, 0) + FormalObject.stalk(EM.prufer_sum(zf(3)), 1)
     assert validate_tau_filtration(step_filtration(SPEC_Z, 1, zf(2)), F).ok
@@ -591,7 +682,11 @@ def test_clear_caches_empties_every_unbounded_cache():
         and getattr(value, "__module__", None) == module.__name__
         and value.cache_info().maxsize is None
     }
-    for name in ("tstruct.cech._tau_atom_rows", "tstruct.cech._stalk_prediction"):
+    for name in (
+        "tstruct.cech._atom_rows",
+        "tstruct.cech._level_rows",
+        "tstruct.cech._stalk_prediction",
+    ):
         assert unbounded[name].cache_info().currsize > 0
     assert "tstruct.zmodules._tensor_product" in unbounded
     clear_caches()
@@ -994,7 +1089,7 @@ def test_step_checks_and_hom_route_build_no_tensor():
     for _ in range(20):
         X, Y = random_free_complex(rng), random_formal_object(rng)
         cech.no_maps_into_nonpositive_shifts(X, Y)
-    assert cech._tau_atom_rows.cache_info().currsize > 0
+    assert cech._atom_rows.cache_info().currsize > 0
     info = zmodules._tensor_product.cache_info()
     assert (info.hits, info.misses) == (0, 0)
 

@@ -95,6 +95,15 @@ def test_census_count_matches_library(files, capsys):
     assert len(out["filtrations"]) == 5
 
 
+@pytest.mark.parametrize(
+    "spelling", [("--window", "-1..1"), ("--window=-1..1",), ("--win", "-1..1")]
+)
+def test_census_window_below_zero(capsys, spelling):
+    # a window that starts below 0 reads the same either way it is spelled
+    code, out = run(capsys, "census", *spelling, "--universe", "2", "--count-only")
+    assert code == 0 and out["count"] == 7
+
+
 def test_census_round_trips_through_check_cousin(files, capsys):
     code, out = run(capsys, "census", "--window", "0..1", "--universe", "2,3")
     assert code == 0 and out["count"] == len(out["filtrations"]) > 0

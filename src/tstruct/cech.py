@@ -48,8 +48,8 @@ differentials:
   and added shifted to the stalk's degree, m times over for m copies;
   below the cut the summed rows meet the level's two models in one
   Kuenneth product per vertex;
-* a claim's predicted rows are computed once per stalk module and set
-  of primes and placed at the stalk's degree.
+* a claim's rows are read the same way: its stalks' unit atoms' rows,
+  shifted and added.
 
 Every distinct block still passes the label-containment and d∘d checks.
 
@@ -68,11 +68,14 @@ the object.  The chain-level route of the generator reduction reads
 Hom(X, Y) = X^v (x) Y by Kuenneth too.  Every row still comes from
 Smith normal forms of chain models, never from the engine's atom rules.
 
-An engine answer (a formal object) is checked by predicting the same
-fingerprints in closed form and demanding exact agreement.  Rows keep
-nonzero entries only, so the observed and predicted tables are
-compared as plain dicts; reports are built, and the union of their
-keys scanned, only on a mismatch.
+An engine answer (a formal object) is observed too: its rows are the
+sum of its atoms' rows (``_atom_rows``), which are the rows of its own
+model ``formal_object_model``, and they must agree exactly with the rows
+of the chain model it is a claim about.  So both sides of every
+comparison are observed on chain models, and no table says how an atom
+shows at p.  Rows keep nonzero entries only, so the two tables are
+compared as plain dicts; reports are built, and the union of their keys
+scanned, only on a mismatch.
 Finite p-torsion of any depth is compared exponent by exponent; a
 divisible part shows up as a growth count that differs from the
 rational rank.
@@ -385,56 +388,6 @@ def fingerprints(W, primes) -> OracleReport:
     return OracleReport(primes, *_observe(W, primes))
 
 
-def predicted_fingerprints(F: FormalObject, primes) -> OracleReport:
-    """The fingerprints a formal object must show if it is the truth.
-
-    At p, a free or untouched-localized summand grows in its own degree,
-    a p-inverted localized summand vanishes, torsion Z/p^e keeps its
-    exponent, and a Pruefer summand at p grows one degree below (its
-    p^t-torsion subgroup).
-    """
-    primes = tuple(sorted(set(primes)))
-    return OracleReport(primes, *_predict(F, primes))
-
-
-def _predict(F: FormalObject, primes: tuple) -> tuple:
-    """The ``(ranks, rows)`` dicts of ``predicted_fingerprints`` at
-    sorted primes: each stalk's rows (``_stalk_prediction``) placed at
-    its degree."""
-    ranks: dict = {}
-    rows: dict = {}
-    # only a stalk's own degree brings torsion exponents to a row (the
-    # stalk above adds Pruefer growth there), so exponents concatenate
-    for d, E in F.graded:
-        rank, stalk_rows = _stalk_prediction(E, primes)
-        if rank:
-            ranks[d] = rank
-        for p, k, growth, exps in stalk_rows:
-            g, x = rows.get((p, d + k), _ZERO_ROW)
-            rows[(p, d + k)] = (g + growth, x + exps)
-    return ranks, rows
-
-
-@lru_cache(maxsize=None)
-def _stalk_prediction(E: ElementaryModule, primes: tuple) -> tuple:
-    """The rational rank of a stalk E and its nonzero predicted rows
-    ``((p, k, growth, exponents), ...)`` at sorted primes, k the offset
-    from the stalk's degree: at p, a free or untouched-localized summand
-    grows in row k = 0, where torsion Z/p^e keeps its exponent, a
-    p-inverted localized summand vanishes, and a Pruefer summand at p
-    grows in row k = -1."""
-    out = []
-    for p in primes:
-        growth = E.free_rank + sum(r for s, r in E.localized if not s.contains(p))
-        exps = _p_exponents(E.torsion, p)
-        if growth or exps:
-            out.append((p, 0, growth, exps))
-        below = sum(m for s, m in E.prufer if s.contains(p))
-        if below:
-            out.append((p, -1, below, ()))
-    return E.rational_rank, tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # validation of the engine
 
@@ -444,11 +397,11 @@ class ValidationReport:
     """``mismatches`` holds one ``(kind, prime, degree, got, want)`` entry
     per differing row, sorted by (prime, degree).  ``kind`` is
     ``"rational-rank"`` (prime 0, the generic point) or ``"fingerprint"``;
-    ``got`` is what the chain model shows, ``want`` what the claim
-    predicts.  A truncation step whose rows all agree but whose upper
-    vertex changes a stalk above the cut has one ``"stalk"`` entry
-    (prime 0) at the lowest such degree: ``got`` the input's stalk there,
-    ``want`` the claim's."""
+    ``got`` is what the chain model shows, ``want`` what the models of
+    the claim's atoms show.  A truncation step whose rows all agree but
+    whose upper vertex changes a stalk above the cut has one ``"stalk"``
+    entry (prime 0) at the lowest such degree: ``got`` the input's stalk
+    there, ``want`` the claim's."""
 
     ok: bool
     mismatches: tuple
@@ -468,24 +421,25 @@ _AGREE = ValidationReport(True, ())  # shared: most checks agree
 def check_object(F: FormalObject, W, primes) -> ValidationReport:
     """Exact agreement of rational ranks and p-local fingerprints between
     a claimed object and a chain model, row by row, over every degree
-    either side shows."""
+    either side shows.  Both sides are observed on chain models: W as it
+    is, the claim on the models of its atoms."""
     primes = tuple(sorted(set(primes)))
     return _compare(_observe(W, primes), F, primes)
 
 
 def _compare(observed: tuple, F: FormalObject, primes: tuple) -> ValidationReport:
     """Compare observed ``(ranks, rows)`` dicts at sorted primes with the
-    claim's predicted ones.
+    claim's, read off the models of its atoms (``_stalk_rows``).
 
     Both sides keep nonzero rows only, so equal tables mean agreement
     and are the common case; only a disagreement builds the two reports
     and is scanned row by row.
     """
-    predicted = _predict(F, primes)
-    if observed == predicted:
+    claimed = _stalk_rows(F.graded, primes)
+    if observed == claimed:
         return _AGREE
     got = OracleReport(primes, *observed)
-    want = OracleReport(primes, *predicted)
+    want = OracleReport(primes, *claimed)
     mism = [
         ("rational-rank", 0, d, got.rank_at(d), want.rank_at(d))
         for d in got.ranks.keys() | want.ranks.keys()
@@ -628,6 +582,16 @@ def _add_atoms(observed: tuple, E: ElementaryModule, d: int, primes: tuple) -> N
         _add_scaled(observed, *_atom_rows(key, primes), d, m)
 
 
+def _stalk_rows(stalks, primes: tuple) -> tuple:
+    """The ``(ranks, rows)`` dicts of stalks ``((d, E), ...)`` at sorted
+    primes: the sum of their unit atoms' rows (``_add_atoms``), which are
+    those of ``formal_object_model`` of the stalks."""
+    out: tuple = ({}, {})
+    for d, E in stalks:
+        _add_atoms(out, E, d, primes)
+    return out
+
+
 def _tau_step_rows(i: int, Z: ZSubset, F: FormalObject, primes: tuple) -> tuple:
     """The ``(ranks, rows)`` dicts, one pair per vertex, that the chain
     models of the one-level truncation of F at (i, Z) show at sorted
@@ -642,11 +606,7 @@ def _tau_step_rows(i: int, Z: ZSubset, F: FormalObject, primes: tuple) -> tuple:
       (lower) and the quotient (upper);
     * above the cut each stalk passes to the upper vertex as it is.
     """
-    below: tuple = ({}, {})
-    for d, E in F.graded:
-        if d >= i:
-            break
-        _add_atoms(below, E, d, primes)
+    below = _stalk_rows(F.graded[: _cut_index(F, i - 1)], primes)
     if below[0] or below[1]:
         lower, upper = (_kuenneth(below, table) for table in _level_rows(Z, primes))
     else:
@@ -683,11 +643,11 @@ def _check_tau_step(i: int, Z: ZSubset, F: FormalObject, res, primes: tuple) -> 
     Z-torsion lives in degrees d and d + 1), so it passes to the upper
     vertex untouched, and the upper vertex's stalks above the cut are
     compared with the input's by identity.  When they agree, only the
-    parts at or below the cut are observed and predicted: the rest adds
-    the same rows to both sides.  A mismatch there, or stalks that
-    differ, has the whole input observed, so the rows are reported as
-    they are; and when stalks differ while every row agrees, the report
-    holds one ``"stalk"`` entry at the lowest degree where they differ.
+    parts at or below the cut are observed, on both sides: the rest adds
+    the same rows to both.  A mismatch there, or stalks that differ, has
+    the whole input observed, so the rows are reported as they are; and
+    when stalks differ while every row agrees, the report holds one
+    ``"stalk"`` entry at the lowest degree where they differ.
     """
     k, m = _cut_index(F, i), _cut_index(res.upper, i)
     above, claimed = F.graded[k:], res.upper.graded[m:]
@@ -795,7 +755,6 @@ _CACHES = (
     formal_object_model,
     _atom_rows,
     _level_rows,
-    _stalk_prediction,
     _integral_homology_mod,
     _reduced_homology,
     _rational_ranks,
